@@ -149,12 +149,8 @@ def test_micro_phase_matches_coalesced():
 
 
 def _warm_window_setup():
-    """Warm ACC stack + a long steady-state trace whose phase plan
-    compiles to one large :class:`~repro.workloads.vector.VectorWindow`
-    (the regime the vector rung targets)."""
-    import pytest
-
-    pytest.importorskip("numpy")
+    """Warm ACC stack + a long steady-state trace whose phase plan is
+    one long run of consecutive phases."""
     trace = perf_smoke.make_run_trace(num_runs=2048)
     core = AxcCore(0, StatsRegistry())
     l0x = perf_smoke.build_acc_l0x()
@@ -168,40 +164,12 @@ def _warm_window_setup():
 
 
 def test_micro_acc_windows_phased(benchmark):
-    """Ops/sec serving the long window one ``phase_quote`` at a time
-    (comparison point for the vector rung's batch win)."""
+    """Ops/sec serving the long window one ``phase_quote`` at a time."""
     trace, core, l0x, access_run = _warm_window_setup()
 
     benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
                                access_run=access_run,
                                phase_quote=l0x.phase_quote))
-
-
-def test_micro_acc_windows_vector(benchmark):
-    """Ops/sec with ``phase_quote_batch`` guarding and accounting the
-    whole multi-phase window in one vectorised pass (the fifth rung of
-    the fallback ladder)."""
-    trace, core, l0x, access_run = _warm_window_setup()
-
-    benchmark(lambda: core.run(
-        trace, 0, l0x.access, mlp=4, access_run=access_run,
-        phase_quote=l0x.phase_quote,
-        phase_quote_batch=l0x.phase_quote_batch))
-
-
-def test_micro_vector_matches_phased():
-    """Semantics gate: the batched window path and the per-phase path
-    end at the same cycle (counter bit-identity is covered by
-    ``tests/test_property_vector.py``)."""
-    trace, core, l0x, access_run = _warm_window_setup()
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
-    vector_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote,
-                          phase_quote_batch=l0x.phase_quote_batch)
-    assert vector_end == phased_end
 
 
 @functools.lru_cache(maxsize=1)

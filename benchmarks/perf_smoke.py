@@ -15,14 +15,10 @@ ways:
 It also measures the run-coalescing fast path the same way: a
 run-heavy synthetic invocation driven through a real ACC L0X/L1X
 protocol stack once op-by-op and once with the controller's
-``access_run`` entry point wired in.  One rung further up, the vector
-pair drives the same stack once per-phase (``phase_quote``) and once
-with the batched-window entry point (``phase_quote_batch``) wired in.
-Above those sits the replay pair: an iterated Figure-6 FFT workload
-through the full FUSION system with ``REPLAY_INVOCATIONS`` off
-(steady phases) and on (guarded invocation replay), timed interleaved
-best-of-3 — and the Figure-6 grid itself, timed cold and interleaved
-with the vector rung on and off.
+``access_run`` entry point wired in.  Above those sits the replay
+pair: an iterated Figure-6 FFT workload through the full FUSION system
+with ``REPLAY_INVOCATIONS`` off (steady phases) and on (guarded
+invocation replay), timed interleaved best-of-3.
 
 Each pair must produce the *same end time* (semantics check), and each
 fast/slow ops-per-second ratio must stay within ``TOLERANCE`` of the
@@ -305,68 +301,6 @@ def run_phase_measurement():
     }
 
 
-def run_vector_measurement():
-    """Measure per-phase vs batched-window protocol serving; returns
-    the metrics dict.
-
-    The fifth rung of the fallback ladder: the run-heavy trace (grown
-    to 2048 runs so one window covers a hundred-plus phases), once with
-    ``phase_quote`` alone — one guard walk, ledger flush and timeline
-    per phase — and once with ``phase_quote_batch`` also wired in, so
-    the whole window's guard collapses to one vectorised lease compare
-    and its ledger to one bulk apply.  Both paths must end at the same
-    cycle — bit-identity across every counter is pinned by
-    ``tests/test_property_vector.py``.
-
-    Returns ``None`` on a numpy-less install: the rung cannot engage
-    there (it degrades to the per-phase path), so there is nothing to
-    measure or gate.
-    """
-    from repro.workloads.vector import HAVE_NUMPY
-    if not HAVE_NUMPY:
-        return None
-    trace = make_run_trace(num_runs=2048)
-    total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
-    core = AxcCore(0, StatsRegistry())
-    l0x = build_acc_l0x()
-    lease = trace.lease_time
-    l0x.invocation_lease = lease
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
-    vector_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote,
-                          phase_quote_batch=l0x.phase_quote_batch)
-    if vector_end != phased_end:
-        raise AssertionError(
-            "semantics drift: phased end {} != vector end {}".format(
-                phased_end, vector_end))
-
-    phased_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run,
-                         phase_quote=l0x.phase_quote))
-    vector_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run,
-                         phase_quote=l0x.phase_quote,
-                         phase_quote_batch=l0x.phase_quote_batch))
-    phased_ops = total_mem_ops / phased_s
-    vector_ops = total_mem_ops / vector_s
-    return {
-        "mem_ops": total_mem_ops,
-        "phased_ops_per_s": round(phased_ops),
-        "vector_ops_per_s": round(vector_ops),
-        "speedup": round(vector_ops / phased_ops, 3),
-    }
-
-
 def run_replay_measurement(repeats=3):
     """Measure phased vs replayed whole-system wall time; returns the
     metrics dict.
@@ -434,80 +368,11 @@ def run_replay_measurement(repeats=3):
     }
 
 
-def measure_grid(size="small", repeats=3):
-    """Wall time of the full Figure 6 grid (all systems, uncached),
-    measured interleaved with the vector rung on and off.
-
-    Best-of-``repeats`` per path, alternating vector and per-phase
-    passes on one machine state (the only way wall-clock comparisons
-    mean anything on a drifting container).  Every timed pass runs with
-    cold per-trace caches — the registry rebuild happens outside the
-    timer, so lowering, DMA windows and MLP characterisation are paid
-    inside it, exactly like a fresh process.  The two paths' grids must
-    be bit-identical (same fingerprint the property suites pin),
-    checked on the first repeat.
-    """
-    import repro.accel.core as core_mod
-    from repro.common.config import small_config
-    from repro.systems import SYSTEMS
-    from repro.workloads import registry
-
-    config = small_config()
-
-    def cold_pass():
-        registry.clear_caches()
-        workloads = {name: registry.build_workload(name, size)
-                     for name in registry.BENCHMARKS}
-        results = {}
-        start = time.perf_counter()
-        for cls in SYSTEMS.values():
-            for name, workload in workloads.items():
-                results[(cls.name, name)] = cls(config, workload).run()
-        return time.perf_counter() - start, results
-
-    def fingerprints(results):
-        return {
-            key: (result.accel_cycles, result.total_cycles,
-                  repr(result.energy.total_pj),
-                  tuple(sorted((name, repr(value))
-                               for name, value in result.stats.items())))
-            for key, result in results.items()}
-
-    original = core_mod.VECTOR_PHASES
-    vector_s = phased_s = float("inf")
-    try:
-        for index in range(repeats):
-            core_mod.VECTOR_PHASES = True
-            elapsed, vector_results = cold_pass()
-            vector_s = min(vector_s, elapsed)
-            core_mod.VECTOR_PHASES = False
-            elapsed, phased_results = cold_pass()
-            phased_s = min(phased_s, elapsed)
-            if index == 0 and fingerprints(vector_results) \
-                    != fingerprints(phased_results):
-                raise AssertionError(
-                    "semantics drift: fig6 grid differs with "
-                    "VECTOR_PHASES on/off")
-    finally:
-        core_mod.VECTOR_PHASES = original
-    return {
-        "systems": len(SYSTEMS),
-        "benchmarks": len(registry.BENCHMARKS),
-        "size": size,
-        "wall_s": round(vector_s, 3),
-        "phased_wall_s": round(phased_s, 3),
-        "vector_speedup": round(phased_s / vector_s, 3),
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write-baseline", action="store_true",
                         help="measure and (re)write the committed "
                              "baseline JSON instead of gating")
-    parser.add_argument("--grid", action="store_true",
-                        help="with --write-baseline: also record the "
-                             "Figure 6 small-grid wall time")
     args = parser.parse_args(argv)
 
     metrics = run_measurement()
@@ -524,15 +389,6 @@ def main(argv=None):
     print("phased   : {phased_ops_per_s:>10,} ops/s".format(**phases))
     print("speedup: {speedup:.2f}x (steady phases over coalesced "
           "serving)".format(**phases))
-    vector = run_vector_measurement()
-    if vector is not None:
-        print("phased   : {phased_ops_per_s:>10,} ops/s".format(**vector))
-        print("vector   : {vector_ops_per_s:>10,} ops/s".format(**vector))
-        print("speedup: {speedup:.2f}x (batched windows over per-phase "
-              "serving)".format(**vector))
-    else:
-        print("vector   : numpy not installed; rung degrades to "
-              "per-phase serving (pair skipped)")
     replay = run_replay_measurement()
     print("phased   : {phased_s:>10.3f} s (iterated fft, full FUSION "
           "system)".format(**replay))
@@ -545,24 +401,16 @@ def main(argv=None):
         payload = {
             "_provenance": (
                 "Recorded by `PYTHONPATH=src python benchmarks/"
-                "perf_smoke.py --write-baseline --grid` on the dev "
-                "container ({}).  CI gates only the machine-independent "
-                "speedup *ratios* (micro.speedup, run_coalesce.speedup, "
-                "steady_phases.speedup); fig6_grid.wall_s is "
-                "machine-dependent provenance only — container speed "
-                "drifts between sessions (earlier baselines recorded "
-                "6.838s and 6.236s for grids this machine now runs in "
-                "under 4s), so wall-clock comparisons are only "
-                "meaningful interleaved on one machine state.  "
+                "perf_smoke.py --write-baseline` ({}).  CI gates only "
+                "the machine-independent speedup *ratios* "
+                "(micro.speedup, run_coalesce.speedup, "
+                "steady_phases.speedup); wall-clock comparisons are "
+                "only meaningful interleaved on one machine state.  "
                 "invocation_replay is measured that way: phased vs "
                 "replayed passes interleaved best-of-3 on the iterated "
                 "Figure-6 FFT through the full FUSION system, results "
                 "checked bit-identical; the recorded speedup must stay "
-                "at or above the 1.8x acceptance floor.  fig6_grid is "
-                "interleaved the same way: cold vector vs per-phase "
-                "passes alternating best-of-3, fingerprints checked "
-                "bit-identical, wall_s recording the vector-rung pass "
-                "and phased_wall_s the rung-off pass.".format(
+                "at or above the 1.8x acceptance floor.".format(
                     time.strftime("%Y-%m-%d"))),
             "micro": metrics,
             "run_coalesce": coalesce,
@@ -570,15 +418,6 @@ def main(argv=None):
             "invocation_replay": replay,
             "tolerance": TOLERANCE,
         }
-        if vector is not None:
-            payload["vector_phases"] = vector
-        if args.grid:
-            payload["fig6_grid"] = measure_grid()
-            print("fig6 {size} grid ({systems} systems x {benchmarks} "
-                  "benchmarks): {wall_s:.2f}s vectorised, "
-                  "{phased_wall_s:.2f}s per-phase "
-                  "({vector_speedup:.2f}x)".format(
-                      **payload["fig6_grid"]))
         BASELINE_PATH.parent.mkdir(exist_ok=True)
         BASELINE_PATH.write_text(json.dumps(payload, indent=1) + "\n")
         print("wrote {}".format(BASELINE_PATH))
@@ -601,10 +440,6 @@ def main(argv=None):
         gates.append(("steady phases",
                       baseline["steady_phases"]["speedup"],
                       phases["speedup"]))
-    if "vector_phases" in baseline and vector is not None:
-        gates.append(("vector phases",
-                      baseline["vector_phases"]["speedup"],
-                      vector["speedup"]))
     if "invocation_replay" in baseline:
         gates.append(("invocation replay",
                       baseline["invocation_replay"]["speedup"],

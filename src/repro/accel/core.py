@@ -58,13 +58,10 @@ Energy: Aladdin-style activity counts are charged per compute chunk.
 
 import heapq
 import os
-import warnings
 
 from ..energy.accel_energy import INVOCATION_OVERHEAD_PJ, compute_energy_pj
-from ..workloads import vector as vector_mod
 from ..workloads.lowering import lowered_trace
 from ..workloads.phases import phase_plan
-from ..workloads.vector import vector_plan
 
 #: Global enable for the run-coalescing fast path; tests flip this to
 #: run the same workload through both paths.
@@ -75,33 +72,6 @@ COALESCE_RUNS = True
 #: value, and the equivalence property tests flip the module attribute.
 STEADY_PHASES = os.environ.get("STEADY_PHASES", "1").strip().lower() \
     not in ("0", "false", "off", "no")
-
-#: Global enable for the vectorised phase-window fast path (the fifth
-#: rung: whole sequences of lease-stable phases batch-quoted and
-#: applied in one pass).  Same toggle discipline as ``STEADY_PHASES``;
-#: requires numpy — on a numpy-less install the rung silently (after
-#: one warning) degrades to the per-phase path, so results never
-#: depend on whether numpy is importable.
-VECTOR_PHASES = os.environ.get("VECTOR_PHASES", "1").strip().lower() \
-    not in ("0", "false", "off", "no")
-
-_warned_no_numpy = False
-
-
-def _vector_available():
-    """True when the vector rung can run; warns once when numpy is
-    missing but ``VECTOR_PHASES`` asked for it."""
-    global _warned_no_numpy
-    if vector_mod.HAVE_NUMPY:
-        return True
-    if not _warned_no_numpy:
-        _warned_no_numpy = True
-        warnings.warn(
-            "VECTOR_PHASES requested but numpy is not installed; "
-            "falling back to the steady-state phase rung",
-            RuntimeWarning, stacklevel=3)
-    return False
-
 
 class AxcCore:
     """One fixed-function accelerator's datapath and memory interface."""
@@ -117,7 +87,7 @@ class AxcCore:
 
     def run(self, trace, start_time, access_fn, mlp, issue_interval=1,
             charge_invocation=True, access_run=None, phase_quote=None,
-            leased_phases=True, phase_quote_batch=None):
+            leased_phases=True):
         """Execute one invocation to completion; returns the end time.
 
         Args:
@@ -163,21 +133,6 @@ class AxcCore:
                 ``True`` for lease-capped windows (ACC's cover guard
                 wants short phases), ``False`` for the long structural
                 windows an expiry-free controller can absorb whole.
-            phase_quote_batch: optional ``(window, now, horizon,
-                issue_interval) -> (accepted, load_lat, store_lat) |
-                None`` vectorised entry point, tried on every
-                :class:`~repro.workloads.vector.VectorWindow` of the
-                plan (a maximal run of consecutive phases).  The
-                controller evaluates the whole window's guard in one
-                vectorised pass and serves/accounts the *accepted
-                prefix* of its phases in bulk; the core then applies
-                the accepted timelines — in one closed-form array
-                reduction when the stall-free regime holds, else one
-                cached timeline per phase — and the remaining entries
-                drop down the ladder unchanged.  ``None`` (or an empty
-                prefix) declines the window to the per-phase path.
-                Only consulted when ``VECTOR_PHASES`` is on and numpy
-                is importable.
         """
         mlp = max(1, int(mlp))
         lowered = lowered_trace(trace, self.issue_width)
@@ -189,39 +144,14 @@ class AxcCore:
             plan = phase_plan(trace, self.issue_width, leased_phases)
             if not plan.num_phases:
                 plan = None
-        vplan = None
-        if plan is not None and phase_quote_batch is not None \
-                and VECTOR_PHASES and _vector_available():
-            vplan = vector_plan(trace, self.issue_width, leased_phases)
-            if vplan is not None and not vplan.windows:
-                vplan = None
         if plan is None:
             now = self._interpret(
                 lowered.steps, start_time, outstanding, fill_time_of,
                 access_fn, run_fn, mlp, issue_interval)
         else:
             now = start_time
-            entries = plan.entries
-            num_entries = len(entries)
-            window_at = vplan.window_at if vplan is not None else None
-            index = 0
-            while index < num_entries:
-                phase, steps = entries[index]
+            for phase, steps in plan.entries:
                 if phase is not None:
-                    if window_at is not None:
-                        window = window_at.get(index)
-                        if window is not None:
-                            accepted, now = self._run_window(
-                                window, phase_quote_batch, now,
-                                outstanding, fill_time_of, mlp,
-                                issue_interval)
-                            if accepted:
-                                # The accepted prefix is served and
-                                # applied; the remaining entries of the
-                                # window (and everything after) drop
-                                # down the per-phase ladder unchanged.
-                                index += accepted
-                                continue
                     horizon = now
                     if outstanding:
                         peak = max(outstanding)
@@ -235,12 +165,10 @@ class AxcCore:
                             phase, load_lat, store_lat, now,
                             outstanding, fill_time_of, mlp,
                             issue_interval)
-                        index += 1
                         continue
                 now = self._interpret(
                     steps, now, outstanding, fill_time_of, access_fn,
                     run_fn, mlp, issue_interval)
-                index += 1
         if outstanding:
             now = max(now, max(outstanding))
         self._record(lowered, now - start_time, charge_invocation)
@@ -290,64 +218,6 @@ class AxcCore:
         # ascending — a valid heap) replaces the live one wholesale.
         outstanding[:] = [now + rel for rel in timeline.exit_heap]
         return now + timeline.cycles
-
-    def _run_window(self, window, batch_fn, now, outstanding,
-                    fill_time_of, mlp, interval):
-        """Offer a whole phase window to the batched quote; returns
-        ``(accepted_phases, now)``.
-
-        On a non-empty accepted prefix the controller has already
-        served and accounted every op of those phases; this applies
-        their cycle timelines.  When every accepted phase is in the
-        stall-free closed-form regime — per-op latency at most the
-        issue interval, entry heap below the MLP limit, no pending
-        fill of any window line — the whole prefix collapses to one
-        array-derived total (``cum_mem_ops * interval + cum_compute``)
-        with the entry heap filtered once against the exit clock:
-        bit-identical to chaining the per-phase closed forms, because
-        each phase's closed form neither stalls, merges, writes fills,
-        nor admits new heap entries, so the conditions persist and the
-        survivors of the chained prunes are exactly the entries beyond
-        the final clock.  Otherwise each accepted phase applies its
-        cached timeline in order, exactly as the per-phase rung would.
-        """
-        horizon = now
-        if outstanding:
-            peak = max(outstanding)
-            if peak > horizon:
-                horizon = peak
-        quoted = batch_fn(window, now, horizon, interval)
-        if quoted is None:
-            return 0, now
-        accepted, load_lat, store_lat = quoted
-        heappop = heapq.heappop
-        while outstanding and outstanding[0] <= now:
-            heappop(outstanding)
-        bulk = len(outstanding) < mlp \
-            and (not window.cum_loads[accepted] or load_lat <= interval) \
-            and (not window.cum_stores[accepted]
-                 or store_lat <= interval)
-        if bulk and fill_time_of:
-            pending = fill_time_of.get
-            row_blocks = window.row_blocks
-            for i in range(window.row_start[accepted]):
-                fill = pending(row_blocks[i])
-                if fill is not None and fill > now:
-                    bulk = False
-                    break
-        if bulk:
-            now += window.prefix_cycles(accepted, interval)
-            if outstanding:
-                outstanding[:] = sorted(
-                    completion for completion in outstanding
-                    if completion > now)
-        else:
-            phases = window.phases
-            for j in range(accepted):
-                now = self._apply_phase_timeline(
-                    phases[j], load_lat, store_lat, now, outstanding,
-                    fill_time_of, mlp, interval)
-        return accepted, now
 
     def _interpret(self, steps, now, outstanding, fill_time_of,
                    access_fn, run_fn, mlp, issue_interval):

@@ -62,8 +62,7 @@ class AcceleratorTile:
         try:
             end = self.cores[axc_id].run(
                 trace, start_time, l0x.access, mlp,
-                access_run=access_run, phase_quote=l0x.phase_quote,
-                phase_quote_batch=l0x.phase_quote_batch)
+                access_run=access_run, phase_quote=l0x.phase_quote)
             end += l0x.flush_dirty(end)
         finally:
             l0x.forward_hook = None

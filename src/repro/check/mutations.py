@@ -79,33 +79,6 @@ def _skip_phase_guard(world):
         l0x.phase_quote = phase_quote
 
 
-def _skip_batch_guard(world):
-    for l0x in world.l0xs:
-        real = l0x.phase_quote_batch
-
-        def phase_quote_batch(window, now, horizon, interval, _l0x=l0x,
-                              _real=real):
-            # Show the batched guard every line of the window with its
-            # lease skewed LTIME_SKEW cycles into the future, then
-            # restore it: the vectorised cover compare accepts phases
-            # whose epochs are dead while the shadow model still knows
-            # the truth.
-            bumped = []
-            for block in window.row_blocks:
-                line = _l0x.cache._lines.get(block)
-                if line is not None and line.lease is not None \
-                        and line not in bumped:
-                    line.lease += LTIME_SKEW
-                    bumped.append(line)
-            try:
-                return _real(window, now, horizon, interval)
-            finally:
-                for line in bumped:
-                    line.lease -= LTIME_SKEW
-
-        l0x.phase_quote_batch = phase_quote_batch
-
-
 def _stale_replay_fingerprint(world):
     real = world._replay_match
 
@@ -221,15 +194,6 @@ _ALL = (
                     "are served from expired epochs.".format(LTIME_SKEW),
         expected=("stale-epoch-use",),
         _apply=_skip_phase_guard),
-    Mutation(
-        name="batch-guard-skip",
-        kinds=("acc", "dx"),
-        description="The batched (vector-rung) quote guard sees every "
-                    "lease {} cycles longer than granted, so whole "
-                    "multi-phase windows are served from expired "
-                    "epochs.".format(LTIME_SKEW),
-        expected=("stale-epoch-use",),
-        _apply=_skip_batch_guard),
     Mutation(
         name="stale-replay-fingerprint",
         kinds=("acc", "dx"),

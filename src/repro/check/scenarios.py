@@ -26,14 +26,6 @@ Event vocabulary (per agent, executed in program order):
   whole invocation in bulk on a match and expanding per-op when the
   guard declines.  AXC agents only, lease-based (``acc``/``dx``)
   kinds only.
-* ``("batch", kind, k, n)`` — a *two-phase vectorized window*: ``n``
-  loads on block ``k`` followed by ``n`` ops of ``kind`` on block
-  ``k + 1``, compiled into one SoA :class:`VectorWindow` and issued
-  through the batched quote rung (``phase_quote_batch``,
-  ``docs/simulator.md`` §13).  The world shadow-checks every accepted
-  phase per-op (cumulative clock) and expands unaccepted phases down
-  the ladder.  AXC agents only, lease-based (``acc``/``dx``) kinds
-  only; falls back whole-window per-op on a numpy-less install.
 * ``("flush",)`` — AXC invocation end: ``flush_dirty`` (ACC) or the
   shared L1X drain.  Not valid for the host.
 * ``("advance", dt)`` — let ``dt`` cycles pass without an access; this
@@ -74,7 +66,7 @@ class Agent:
             if kind in ("load", "store"):
                 if len(event) != 2 or not isinstance(event[1], int):
                     raise ValueError("bad event {!r}".format(event))
-            elif kind in ("run", "invoke", "batch"):
+            elif kind in ("run", "invoke"):
                 if self.role == "host" or len(event) != 4 \
                         or event[1] not in ("load", "store") \
                         or not isinstance(event[2], int) \
@@ -108,10 +100,10 @@ class Scenario:
         if self.kind != "dx" and self.forward_plan:
             raise ValueError("forward_plan is FUSION-Dx only")
         if self.kind == "shared" and any(
-                event[0] in ("run", "invoke", "batch")
+                event[0] in ("run", "invoke")
                 for agent in self.agents for event in agent.events):
             raise ValueError(
-                "run/invoke/batch events are lease-based (acc/dx) only")
+                "run/invoke events are lease-based (acc/dx) only")
         if not any(agent.role == "axc" for agent in self.agents):
             raise ValueError("a scenario needs at least one AXC agent")
 
@@ -128,9 +120,6 @@ class Scenario:
                     highest = max(highest, event[1])
                 elif event[0] in ("run", "invoke"):
                     highest = max(highest, event[2])
-                elif event[0] == "batch":
-                    # A batch window touches blocks k and k + 1.
-                    highest = max(highest, event[2] + 1)
         return highest + 1
 
     def agent_labels(self):
@@ -216,23 +205,6 @@ CATALOG = (
                     "must decline the quote (serving it would replay "
                     "the dead epoch) and the per-op fallback must "
                     "re-request under host-store interference."),
-    Scenario(
-        name="acc-batch-quote",
-        kind="acc",
-        agents=(_axc(("load", 0), ("load", 1),
-                     ("batch", "store", 0, 3), ("advance", EXPIRE),
-                     ("batch", "load", 0, 3), ("flush",)),
-                _host(("store", 1),)),
-        description="A two-phase vectorized window issues through the "
-                    "batched quote rung while both lines are live "
-                    "(store tail must decline to an upgrade), then "
-                    "re-issues after the leases died: the batched "
-                    "guard must decline whole windows whose epochs no "
-                    "longer cover the window's conservative span, "
-                    "falling down the ladder per-op under host-store "
-                    "interference.  A guard skewed to accept anyway — "
-                    "the batch-guard-skip mutation — replays dead "
-                    "epochs and is caught as stale-epoch-use."),
     Scenario(
         name="acc-replay-epoch",
         kind="acc",
@@ -337,13 +309,6 @@ def random_scenario(kind, seed, index):
                 # A replayed invocation window: exercises the replay
                 # rung's record/guard/decline paths above the phases.
                 events.append(("invoke",
-                               rng.choice(("load", "load", "store")),
-                               rng.randrange(blocks),
-                               rng.choice((2, 3))))
-            elif roll < 0.9 and kind != "shared":
-                # A two-phase vectorized window: exercises the batched
-                # quote rung's accept/partial/decline paths.
-                events.append(("batch",
                                rng.choice(("load", "load", "store")),
                                rng.randrange(blocks),
                                rng.choice((2, 3))))

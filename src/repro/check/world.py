@@ -44,7 +44,6 @@ from ..common.stats import StatsRegistry
 from ..common.types import AccessType, MemOp, block_address
 from ..interconnect.link import Link
 from ..mem.tlb import PageTable
-from ..workloads import vector as vector_mod
 from ..workloads.phases import single_run_phase
 from .invariants import (INIT, Violation, check_quiescence, check_step,
                          violation_from_exception)
@@ -232,9 +231,6 @@ class CheckWorld:
         if kind == "invoke":
             self._axc_invoke(agent_index, event[1], event[2], event[3])
             return
-        if kind == "batch":
-            self._axc_batch(agent_index, event[1], event[2], event[3])
-            return
         if self.axc_of[agent_index] is None:
             self._host_access(agent_index, kind, event[1])
         else:
@@ -271,9 +267,6 @@ class CheckWorld:
         raise NotImplementedError
 
     def _axc_invoke(self, agent_index, kind, block_index, count):
-        raise NotImplementedError
-
-    def _axc_batch(self, agent_index, kind, block_index, count):
         raise NotImplementedError
 
     def _flush(self, ordinal):
@@ -348,11 +341,6 @@ class AccWorld(CheckWorld):
         #: reaching the same snapshot have identical futures whether or
         #: not their stores agree.
         self._replay_store = {}
-        #: ``batch`` event SoA windows, keyed (kind, block, count);
-        #: ``None`` entries mark numpy-less fallback.  Not part of the
-        #: canonical snapshot: windows are pure compilations of the
-        #: event, identical however a prefix reached the state.
-        self._batch_windows = {}
         self.l1x = AccL1XController(self.config, self.host,
                                     self.page_table, self.stats)
         self.host.tile_agent = self.l1x
@@ -690,123 +678,6 @@ class AccWorld(CheckWorld):
         if kind != "store":
             self.observations.append(
                 (self.labels[agent_index], seq, block_index, observed))
-
-    def _batch_window(self, kind, block_index, count):
-        """The cached two-phase SoA window of one ``batch`` event:
-        ``count`` loads on ``block_index``, then ``count`` ops of
-        ``kind`` on ``block_index + 1``.  ``None`` on a numpy-less
-        install (the event then expands fully per-op, exactly like the
-        production core's fallback)."""
-        key = (kind, block_index, count)
-        window = self._batch_windows.get(key)
-        if window is None and key not in self._batch_windows:
-            if vector_mod.HAVE_NUMPY:
-                head = single_run_phase(
-                    MemOp(AccessType.LOAD, block_vaddr(block_index)),
-                    count)
-                tail = single_run_phase(
-                    MemOp(AccessType.STORE if kind == "store"
-                          else AccessType.LOAD,
-                          block_vaddr(block_index + 1)),
-                    count)
-                window = vector_mod.build_window(
-                    ((head, None), (tail, None)))
-            self._batch_windows[key] = window
-        return window
-
-    def _axc_batch(self, agent_index, kind, block_index, count):
-        """One two-phase vectorized window through the batched quote
-        rung, issued the way ``AxcCore._run_window`` issues it: quote
-        the whole window via the L0X's ``phase_quote_batch``, apply
-        the accepted prefix in bulk, and expand everything past the
-        prefix down the fallback ladder per-op.
-
-        The shadow checks extend ``_axc_run``'s quote branch across
-        phases with a *cumulative* clock: an accepted phase ``j``
-        serves its ops at ``clock, clock+lat, ...``, where ``clock``
-        already includes every earlier accepted phase's span — so each
-        phase's line must hold a *true* epoch (the shadow lease, which
-        a mutation cannot skew) covering its own last access instant.
-        A batched guard skewed into accepting anyway — the
-        ``batch-guard-skip`` mutation — is caught right here as
-        ``stale-epoch-use``.
-
-        Each phase of the window is one logical event, exactly like a
-        ``run``: one observation (loads) or one write token (stores)
-        regardless of ``count``, and the accepted and expanded paths
-        must agree on it — the engine's bit-identity contract at
-        checker scale.
-        """
-        ordinal = self.axc_of[agent_index]
-        l0x = self.l0xs[ordinal]
-        window = self._batch_window(kind, block_index, count)
-        phase_specs = (
-            ("load", block_index),
-            (kind, block_index + 1),
-        )
-        accepted = 0
-        load_lat = store_lat = 0
-        if window is not None:
-            quote = l0x.phase_quote_batch(window, self.now, self.now, 0)
-            if quote is not None:
-                accepted, load_lat, store_lat = quote
-        for j in range(accepted):
-            phase_kind, phase_block = phase_specs[j]
-            vblock = block_vaddr(phase_block)
-            key = (ordinal, vblock)
-            lat = store_lat if phase_kind == "store" else load_lat
-            self._op_seq[agent_index] += 1
-            seq = self._op_seq[agent_index]
-            self.issued[ordinal] += count
-            last_clock = self.now + (count - 1) * lat
-            true_end = self.shadow_lease.get(key)
-            if true_end is None or true_end <= last_clock:
-                self.report(
-                    "stale-epoch-use",
-                    "batched quote served phase {} ({} x{}) through "
-                    "t={} on an epoch that ended at {}".format(
-                        j, phase_kind, count, last_clock, true_end),
-                    block=vblock, epoch=true_end)
-            self.now += count * lat
-            if phase_kind == "store":
-                token = self._next_token(agent_index)
-                self.l0x_value[key] = token
-                self.pending[key] = token
-            else:
-                self.observations.append(
-                    (self.labels[agent_index], seq, phase_block,
-                     self.l0x_value.get(key, INIT)))
-        # Everything past the accepted prefix drops down the ladder:
-        # per-phase expansion through the per-op primitive (the checker
-        # skips the middle rungs — same protocol transitions).
-        for j in range(accepted, len(phase_specs)):
-            phase_kind, phase_block = phase_specs[j]
-            vblock = block_vaddr(phase_block)
-            key = (ordinal, vblock)
-            self._op_seq[agent_index] += 1
-            seq = self._op_seq[agent_index]
-            self.issued[ordinal] += count
-            token = self._next_token(agent_index) \
-                if phase_kind == "store" else None
-            observed = INIT
-            for _ in range(count):
-                ctrl_hit, forward_hit = self._protocol_op(
-                    agent_index, phase_kind, phase_block)
-                if phase_kind == "store":
-                    # Per op, not after the loop — see ``_axc_run``.
-                    self.l0x_value[key] = token
-                    self.pending[key] = token
-                elif ctrl_hit or forward_hit:
-                    observed = self.l0x_value.get(key, INIT)
-                else:
-                    observed = self.l0x_value[key] = \
-                        self.l1x_value.get(vblock, INIT)
-            if phase_kind != "store":
-                self.observations.append(
-                    (self.labels[agent_index], seq, phase_block,
-                     observed))
-
-    # -- invocation replay rung (repro.accel.replay at checker scale) --------
 
     def _replay_match(self, ordinal, recording, now):
         """Probe one recording's guard against the live L0X state.

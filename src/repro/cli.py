@@ -180,7 +180,6 @@ def _cmd_config(_args):
 _PROFILE_PHASES = (
     ("lowering", ("workloads/lowering",)),
     ("phases", ("workloads/phases",)),
-    ("vector", ("workloads/vector",)),
     ("replay", ("accel/replay",)),
     ("policy", ("policy/",)),
     ("protocol", ("coherence/", "mem/", "interconnect/", "host/",
@@ -205,9 +204,9 @@ def _profile_phase_of(filename):
 
 def _print_phase_breakdown(stats):
     """Aggregate a :class:`pstats.Stats` by pipeline phase (tottime)."""
-    totals = {"lowering": 0.0, "phases": 0.0, "vector": 0.0,
-              "replay": 0.0, "policy": 0.0, "protocol": 0.0,
-              "engine": 0.0, "other": 0.0}
+    totals = {"lowering": 0.0, "phases": 0.0, "replay": 0.0,
+              "policy": 0.0, "protocol": 0.0, "engine": 0.0,
+              "other": 0.0}
     calls = dict.fromkeys(totals, 0)
     for (filename, _line, _name), entry in stats.stats.items():
         _cc, nc, tt, _ct, _callers = entry
@@ -216,8 +215,7 @@ def _print_phase_breakdown(stats):
         calls[phase] += nc
     overall = sum(totals.values())
     print("phase breakdown (tottime):")
-    for phase in ("lowering", "phases", "vector", "replay", "policy",
-                  "protocol", "engine", "other"):
+    for phase in totals:
         share = totals[phase] / overall if overall else 0.0
         print("  {:<9} {:>8.3f}s  {:>5.1f}%  {:>12,} calls".format(
             phase, totals[phase], 100.0 * share, calls[phase]))
@@ -298,9 +296,6 @@ def _cmd_cache(args):
     phase_entries, phase_windows = cache.phase_stats()
     print("phase entries  : {} compiled plan(s), {} phase window(s)".format(
         phase_entries, phase_windows))
-    vector_entries, vector_windows = cache.vector_stats()
-    print("vector entries : {} SoA plan(s), {} vector window(s)".format(
-        vector_entries, vector_windows))
     stale_entries, stale_bytes = cache.stale_schema_stats()
     if stale_entries:
         print("stale schema   : {} old-schema entrie(s) ({:.1f} kB; "

@@ -38,7 +38,6 @@ from ..mem.banking import BankContention
 from ..mem.cache import SetAssocCache
 from ..mem.rmap import AxRmap
 from ..mem.tlb import AxTlb
-from ..workloads import vector as vector_windows
 from .lease_policy import FixedLeasePolicy
 from .messages import Msg, counter_pairs as msg_counter_pairs, send, sender
 
@@ -48,33 +47,6 @@ TILE_LINK_LATENCY = 1
 #: Hot-path constants: line alignment matches ``MemOp.block`` exactly.
 _BLOCK_MASK = ~(LINE_SIZE - 1)
 _STORE = AccessType.STORE
-
-#: Invalid guard rows encode as an un-coverable lease in the batched
-#: quote's vectorised compare.
-_NEG_INF = float("-inf")
-
-
-class _WindowQuote:
-    """Precompiled batched-quote state for one (window, interval)."""
-
-    __slots__ = ("load_lat", "store_lat", "bounds", "lease_buf",
-                 "line_scratch", "wt_scratch", "store_rows", "ledger")
-
-    def __init__(self, load_lat, store_lat, bounds, lease_buf,
-                 line_scratch, wt_scratch, store_rows, ledger):
-        self.load_lat = load_lat
-        self.store_lat = store_lat
-        #: Per-row lease cover requirement relative to the horizon.
-        self.bounds = bounds
-        #: Scratch arrays reused across calls (single-threaded model):
-        #: gathered leases, line objects, write-through L1X lines.
-        self.lease_buf = lease_buf
-        self.line_scratch = line_scratch
-        self.wt_scratch = wt_scratch
-        #: Row indices with stores, ascending (dirty-mark walk).
-        self.store_rows = store_rows
-        #: Whole-window bulk ledger (full accepts, no active PjTrace).
-        self.ledger = ledger
 
 
 class AccL1XController:
@@ -426,9 +398,6 @@ class AccL0XController:
         self._phase_ledgers = {}
         self._ledger_pairs = None
         self._programs = {}
-        #: Compiled batched-quote state for the vector rung, keyed by
-        #: ``(VectorWindow, issue_interval)``.
-        self._window_quotes = {}
         #: Default lease for :meth:`access` calls that omit the ``lease``
         #: argument; bound by the tile before each invocation.
         self.invocation_lease = None
@@ -692,165 +661,6 @@ class AccL0XController:
                 store_pairs = self._flush_store_hit.pairs
             pairs = self._ledger_pairs = (load_pairs, store_pairs)
         return pairs
-
-    def phase_quote_batch(self, window, now, horizon, interval):
-        """Serve the longest guardable prefix of a phase *window* in
-        one vectorised pass (the vector rung's batched quote API).
-
-        The guard is :meth:`phase_quote`'s cover check evaluated for
-        every phase of the window at once: one Python gather over the
-        window's flattened ``(phase, line)`` rows — invalid rows
-        (absent line, no lease, store without write state or, under
-        write-through, without an L1X copy) encode as ``-inf`` — and a
-        single vectorised compare against precompiled conservative
-        horizon offsets (see :meth:`_compile_window`; a larger base
-        than the live per-phase horizon is sound — it can only add
-        declines, and any accept/decline pattern is bit-identical by
-        the fallback-ladder contract).  The first failing row caps the
-        accepted prefix at its phase.
-
-        Application mirrors the per-phase quote exactly: per-phase LRU
-        advance and dirty marks in phase order, then *one* bulk window
-        ledger for a full accept (exact amounts pre-summed over the
-        window, energy counters folded serially with
-        ``numpy.add.accumulate`` — the same float rounding sequence as
-        the per-phase flushers) — or the per-phase sequence ledgers
-        for a partial prefix or while a ``PjTrace`` is recording, so
-        replay-rung recordings stay bit-identical.
-
-        Returns ``(accepted_phases, load_lat, store_lat)`` or ``None``
-        when nothing is guardable.
-        """
-        if not self._fixed_lease:
-            return None
-        key = (window, interval)
-        info = self._window_quotes.get(key)
-        if info is None:
-            info = self._window_quotes[key] = self._compile_window(
-                window, interval)
-        np = vector_windows.np
-        leases = info.lease_buf
-        lines_of = self.cache._lines.get
-        write_through = self._write_through
-        l1x_lines_of = self.l1x.cache._lines.get if write_through \
-            else None
-        line_scratch = info.line_scratch
-        wt_scratch = info.wt_scratch
-        for i, (block, needs_store) in enumerate(window.rows):
-            line = lines_of(block)
-            if line is None or line.lease is None \
-                    or (needs_store and line.state != "W"):
-                leases[i] = _NEG_INF
-                continue
-            if needs_store and write_through:
-                wt_line = l1x_lines_of(block)
-                if wt_line is None:
-                    leases[i] = _NEG_INF
-                    continue
-                wt_scratch[i] = wt_line
-            leases[i] = line.lease
-            line_scratch[i] = line
-        ok = leases > info.bounds + horizon
-        if ok.all():
-            accepted = window.span
-        else:
-            accepted = window.row_phase_ids[int(np.argmax(~ok))]
-            if accepted == 0:
-                return None
-        row_start = window.row_start
-        last_pos = window.row_last_pos_list
-        mem_ops = window.mem_ops
-        touch_phase = self.cache.touch_phase
-        for j in range(accepted):
-            touch_phase(
-                [(line_scratch[i], last_pos[i])
-                 for i in range(row_start[j], row_start[j + 1])],
-                mem_ops[j])
-        limit = row_start[accepted]
-        marks = wt_scratch if write_through else line_scratch
-        for i in info.store_rows:
-            if i >= limit:
-                break
-            marks[i].dirty = True
-        if accepted == window.span \
-                and not self.stats.registry.pj_trace_active:
-            info.ledger()
-        else:
-            phases = window.phases
-            for j in range(accepted):
-                self._phase_ledger(phases[j])()
-        return accepted, info.load_lat, info.store_lat
-
-    def _compile_window(self, window, interval):
-        """Precompile one window's batched-quote state.
-
-        The guard bounds chain the run guard's induction across phases:
-        with ``C_0 = 0`` and ``C_{j+1} = C_j + compute_j + mem_ops_j *
-        (max_lat_j + interval)``, every per-op clock (and fill
-        completion) reachable by the end of phase ``j`` is at most
-        ``horizon + C_{j+1}``, so ``lease > horizon + C_j + compute_j
-        + last_pos * per_op_j`` implies the per-op expansion of phase
-        ``j`` would be all hits.  For the window's first phase this is
-        exactly the per-phase guard; later phases use the carried bound
-        instead of the live horizon — conservative, hence sound.
-
-        The registry-independent pieces — the bound array, the store
-        row indices, the whole-window ledger *program* and the gather
-        scratch buffers — are memoised on the window itself
-        (:meth:`VectorWindow.cached`), so controller instances across
-        simulation runs share one compile; only the registry binding
-        is built here.  Sharing the scratch buffers across controllers
-        is sound because the model is single-threaded and a batched
-        quote never re-enters another controller's batched quote: the
-        buffers are dead the moment :meth:`phase_quote_batch` returns.
-        """
-        load_lat = self._hit_latency
-        store_lat = load_lat
-        if self._write_through and window.total_stores:
-            store_lat += TILE_LINK_LATENCY + self.l1x.config.hit_latency
-        pairs = self._phase_pairs()
-        bounds, lease_buf, line_scratch, wt_scratch, store_rows, \
-            program = window.cached(
-                ("acc-quote", load_lat, store_lat, interval,
-                 tuple(pairs[0]), tuple(pairs[1])),
-                lambda: self._compile_window_shared(
-                    window, load_lat, store_lat, interval, pairs))
-        ledger = self.stats.registry.window_flusher(program)
-        return _WindowQuote(
-            load_lat, store_lat, bounds, lease_buf, line_scratch,
-            wt_scratch, store_rows, ledger)
-
-    @classmethod
-    def _compile_window_shared(cls, window, load_lat, store_lat,
-                               interval, pairs):
-        """The registry-independent batched-quote state (pure compile,
-        shared by every controller quoting this window)."""
-        np = vector_windows.np
-        bounds = cls._guard_bounds(window, load_lat, store_lat,
-                                   interval)
-        store_rows = tuple(
-            i for i, (_, stores) in enumerate(window.rows) if stores)
-        program = vector_windows.compile_window_ledger(
-            pairs[0], pairs[1], window)
-        num_rows = len(window.rows)
-        return (bounds, np.empty(num_rows, dtype=np.float64),
-                [None] * num_rows, [None] * num_rows, store_rows,
-                program)
-
-    @staticmethod
-    def _guard_bounds(window, load_lat, store_lat, interval):
-        """The conservative per-row lease bounds (pure compile)."""
-        np = vector_windows.np
-        mem_ops = np.array(window.mem_ops, dtype=np.float64)
-        compute = np.array(window.compute, dtype=np.float64)
-        num_stores = np.array(window.num_stores, dtype=np.int64)
-        per_op = np.where(num_stores > 0, store_lat,
-                          load_lat) + interval
-        carry = np.concatenate(
-            ([0.0], np.cumsum(compute + mem_ops * per_op)))
-        row_phase = window.row_phase
-        return carry[:-1][row_phase] + compute[row_phase] \
-            + window.row_last_pos * per_op[row_phase]
 
     def _accept_forward(self, vblock, now, lease):
         """Install a pending forwarded line; returns ``(latency, line)``.

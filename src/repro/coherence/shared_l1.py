@@ -15,7 +15,6 @@ from ..common.units import LINE_SIZE
 from ..energy import cacti
 from ..mem.banking import BankContention
 from ..mem.cache import SetAssocCache
-from ..workloads import vector as vector_windows
 from .directory import TILE
 from .messages import Msg, counter_pairs as msg_counter_pairs, send
 
@@ -69,8 +68,6 @@ class SharedL1XController:
         self._phase_info = {}
         self._programs = {}
         self._phys_delta = None
-        #: Batched-quote state per VectorWindow (the vector rung).
-        self._window_info = {}
         self.axc_link = None  # attached by the system (builds flushers)
 
     @property
@@ -273,115 +270,6 @@ class SharedL1XController:
                                                    program)
         compiled = (pblocks, ledger)
         self._phase_info[phase] = compiled
-        return compiled
-
-    def phase_quote_batch(self, window, now, horizon, interval):
-        """Serve the longest resident prefix of a phase *window* in one
-        pass (the vector rung's batched quote API).
-
-        The SHARED guard has no leases, so the batched form is a single
-        residency scan over the window's flattened ``(phase, line)``
-        rows — the first absent line caps the accepted prefix at its
-        phase, exactly the per-phase :meth:`phase_quote` guard applied
-        phase by phase (residency cannot change mid-window: the window
-        is the only tile activity during its span).  Application
-        mirrors the per-phase quote — per-phase LRU advance and
-        dirty/modified marks in phase order, then one bulk window
-        ledger for a full accept (or the per-phase sequence ledgers for
-        a partial prefix / while a ``PjTrace`` records).
-
-        The L1X hit latency here exceeds the SHARED issue interval, so
-        the core never takes the bulk *timeline* for these windows —
-        the win is the batched guard and the collapsed ledger.
-        Declines (``None``) when bank contention is modelled or the
-        page table is not affine (the per-phase quote's exact-walk
-        fallback still serves those).
-        """
-        if self.banks is not None:
-            return None
-        info = self._window_info.get(window)
-        if info is None:
-            info = self._compile_window(window)
-        if info is False:       # non-affine page table, cached decline
-            return None
-        pblocks, store_rows, ledger = info
-        lines = self.cache._lines
-        num_rows = len(pblocks)
-        line_scratch = [None] * num_rows
-        accepted = window.span
-        for i, pblock in enumerate(pblocks):
-            line = lines.get(pblock)
-            if line is None:
-                accepted = window.row_phase_ids[i]
-                break
-            line_scratch[i] = line
-        if accepted == 0:
-            return None
-        row_start = window.row_start
-        last_pos = window.row_last_pos_list
-        mem_ops = window.mem_ops
-        touch_phase = self.cache.touch_phase
-        for j in range(accepted):
-            touch_phase(
-                [(line_scratch[i], last_pos[i])
-                 for i in range(row_start[j], row_start[j + 1])],
-                mem_ops[j])
-        limit = row_start[accepted]
-        for i in store_rows:
-            if i >= limit:
-                break
-            line = line_scratch[i]
-            line.dirty = True
-            line.state = "M"
-        if accepted == window.span \
-                and not self.stats.registry.pj_trace_active:
-            ledger()
-        else:
-            phases = window.phases
-            for j in range(accepted):
-                info = self._phase_info.get(phases[j])
-                if info is None:
-                    info = self._compile_phase(phases[j])
-                info[1]()
-        latency = self._base_latency + SWITCH_LATENCY
-        return accepted, latency, latency
-
-    def _compile_window(self, window):
-        """Precompile one window's batched-quote state, or ``False``
-        when the page table is not the affine fast case (probed exactly
-        as in :meth:`_compile_phase`).
-
-        The pure pieces — translated blocks, store rows, the ledger
-        program — are memoised on the window across controller
-        instances (:meth:`VectorWindow.cached`); only the registry
-        binding happens per controller.
-        """
-        delta = self._phys_delta
-        if delta is None:
-            translate = self.page_table.translate
-            delta = translate(0)
-            probe = (1 << 29) | 0x5ec
-            if translate(probe) != probe + delta or \
-                    delta & (LINE_SIZE - 1):
-                delta = False
-            self._phys_delta = delta
-        if delta is False:
-            self._window_info[window] = False
-            return False
-        pblocks = window.cached(
-            ("shared-pblocks", delta),
-            lambda: tuple(block + delta for block in window.row_blocks))
-        store_rows = window.cached("store-rows", lambda: tuple(
-            i for i, (_, stores) in enumerate(window.rows) if stores))
-        load_pairs = self._flush_load_hit.pairs
-        store_pairs = self._flush_store_hit.pairs
-        program = window.cached(
-            ("ledger", tuple(load_pairs), tuple(store_pairs)),
-            lambda: vector_windows.compile_window_ledger(
-                load_pairs, store_pairs, window))
-        ledger = self.stats.registry.window_flusher(program)
-        compiled = (pblocks, store_rows, ledger)
-        self._window_info[window] = compiled
         return compiled
 
     def _fill(self, pblock, now):

@@ -242,7 +242,6 @@ class BoundScratchpadDma:
                            charge_invocation=(window_index == 0),
                            access_run=model.access_run,
                            phase_quote=model.phase_quote,
-                           phase_quote_batch=model.phase_quote_batch,
                            leased_phases=False)
             dirty = scratchpad.drain()
             now += self.dma.transfer_out(dirty, now)
@@ -274,7 +273,6 @@ class BoundSharedL1X:
             issue_interval=ISSUE_INTERVAL,
             access_run=self.l1x.access_run,
             phase_quote=self.l1x.phase_quote,
-            phase_quote_batch=self.l1x.phase_quote_batch,
             leased_phases=False)
 
     def replay_adapter(self, system, strategy):

@@ -387,36 +387,6 @@ class StatsRegistry:
         flush.program = program
         return flush
 
-    def window_flusher(self, program):
-        """Bind a whole-window bulk ledger (the vector rung's apply).
-
-        ``program`` is ``(collapsed_items, pj_folds)`` from
-        :func:`repro.workloads.vector.compile_window_ledger`: exact
-        amounts pre-summed over every phase of the window, and one
-        serial fold closure per energy counter over its program-ordered
-        per-op amounts (``numpy.add.accumulate`` — bit-identical to the
-        per-phase replay loops).  Callers must only flush this while no
-        :class:`PjTrace` is active (check :attr:`pj_trace_active`):
-        the bulk fold cannot reproduce the per-event-run recording
-        granularity, so recordings fall back to per-phase ledgers.
-        """
-        counters = self._counters
-        collapsed_items, pj_folds = program
-
-        def flush():
-            for name, amount in collapsed_items:
-                counters[name] += amount
-            for name, fold in pj_folds:
-                counters[name] = fold(counters[name])
-
-        flush.program = program
-        return flush
-
-    @property
-    def pj_trace_active(self):
-        """True while a :class:`PjTrace` is recording ``*_pj`` adds."""
-        return self._pj_trace_cell[0] is not None
-
     @property
     def registry(self):
         """The backing registry (self; mirrors :attr:`StatsScope.registry`

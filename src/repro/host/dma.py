@@ -17,7 +17,6 @@ from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType, FunctionTrace, MemOp
 from ..common.units import LINE_SIZE
 from ..energy import cacti
-from ..workloads import vector as vector_windows
 
 _BLOCK_MASK = ~(LINE_SIZE - 1)
 _STORE = AccessType.STORE
@@ -181,11 +180,9 @@ class ScratchpadAccessModel:
             (qualify("accesses"), 1),
             (qualify("energy_pj"), self._write_energy)])
         #: Per-phase sequence flushers (steady-state fast path), plus
-        #: compiled ledger programs memoised per (num_loads, num_stores)
-        #: and whole-window bulk ledgers (the vector rung).
+        #: compiled ledger programs memoised per (num_loads, num_stores).
         self._phase_ledgers = {}
         self._programs = {}
-        self._window_ledgers = {}
 
     def access(self, op, now):
         is_store = op.is_store
@@ -251,82 +248,6 @@ class ScratchpadAccessModel:
             blocks[block] = True
         self._phase_ledger(phase)()
         return self.latency, self.latency
-
-    def phase_quote_batch(self, window, now, horizon, interval):
-        """Serve the longest servable prefix of a phase *window* in one
-        pass (the vector rung's batched quote API).
-
-        The scratchpad guard is stateful — a phase's write-first
-        allocations change residency for the next phase — so the batch
-        evaluates phase guards *sequentially*, committing each accepted
-        phase's allocations and dirty marks before guarding the next;
-        the first phase that would decline (load-first absent block or
-        allocation overflow) caps the accepted prefix.  This is the
-        per-phase :meth:`phase_quote` applied phase by phase, so any
-        prefix is bit-identical by construction; the batch win is one
-        ladder dispatch for the whole window, the bulk counter ledger
-        on a full accept, and the core's bulk timeline (the constant
-        scratchpad latency fits the stall-free closed form).
-
-        Returns ``(accepted_phases, latency, latency)`` or ``None``.
-        """
-        scratchpad = self.scratchpad
-        blocks = scratchpad._blocks
-        capacity = scratchpad.config.num_blocks
-        phases = window.phases
-        accepted = 0
-        for phase in phases:
-            allocations = []
-            stored = []
-            ok = True
-            for block, loads, stores, first_is_store, last_pos, \
-                    first_mem, first_comp in phase.block_info:
-                if block in blocks:
-                    if stores:
-                        stored.append(block)
-                elif first_is_store:
-                    allocations.append(block)
-                else:
-                    ok = False
-                    break
-            if ok and allocations and \
-                    len(blocks) + len(allocations) > capacity:
-                ok = False
-            if not ok:
-                break
-            for block in allocations:
-                blocks[block] = True
-            for block in stored:
-                blocks[block] = True
-            accepted += 1
-        if accepted == 0:
-            return None
-        if accepted == window.span \
-                and not self.stats.registry.pj_trace_active:
-            self._window_ledger(window)()
-        else:
-            for j in range(accepted):
-                self._phase_ledger(phases[j])()
-        return accepted, self.latency, self.latency
-
-    def _window_ledger(self, window):
-        """The window's whole-span bulk ledger (cached per window).
-
-        The ledger *program* is memoised on the window across model
-        instances (:meth:`VectorWindow.cached`); binding it to this
-        model's registry is O(1) and cached per instance.
-        """
-        ledger = self._window_ledgers.get(window)
-        if ledger is None:
-            load_pairs = self._flush_load.pairs
-            store_pairs = self._flush_store.pairs
-            program = window.cached(
-                ("ledger", tuple(load_pairs), tuple(store_pairs)),
-                lambda: vector_windows.compile_window_ledger(
-                    load_pairs, store_pairs, window))
-            ledger = self._window_ledgers[window] = \
-                self.stats.registry.window_flusher(program)
-        return ledger
 
     def _phase_ledger(self, phase):
         ledger = self._phase_ledgers.get(phase)

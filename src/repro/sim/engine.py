@@ -74,13 +74,13 @@ from .results import FailedResult
 
 #: Bump when the cache entry layout (not the simulated models — those
 #: are covered by :func:`code_fingerprint`) changes incompatibly.
-#: Version 2: prepared-trace pickles carry structure-of-arrays vector
-#: plans (ndarray payloads a v1 reader would not expect).  Entries
-#: live under ``<root>/v<schema>/``, so old-schema entries are never
-#: *read* after a bump — they sit in their own directory, counted by
+#: Version 3: prepared-trace pickles no longer carry the numpy payloads
+#: version 2 added, whose classes no longer exist.  Entries live under
+#: ``<root>/v<schema>/``, so old-schema entries are never *read* after
+#: a bump — they sit in their own directory, counted by
 #: :meth:`DiskCache.stale_schema_stats` and reaped by
 #: :meth:`DiskCache.clear`.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("", "0", "false", "no", "off")
@@ -672,38 +672,6 @@ class DiskCache:
                 plan_entries += entries
                 phases += windows
         return plan_entries, phases
-
-    def vector_stats(self):
-        """Return ``(plan_entries, windows)`` for SoA vector plans.
-
-        The vector-rung analogue of :meth:`phase_stats`: tallies the
-        structure-of-arrays plans memoised on prepared-workload traces
-        (``_vector_plans``), counting memoised plan variants and the
-        distinct compiled :class:`~repro.workloads.vector.VectorWindow`
-        objects inside them.  Zero on a numpy-less install (the plans
-        are never built there).
-        """
-        from ..workloads.vector import vector_summary
-
-        workloads = {}
-        for index_key, workload in self._index.items():
-            if index_key[1] == "trace":
-                workloads[index_key[2]] = workload
-        trace_dir = self._trace_dir()
-        if trace_dir.is_dir():
-            for path in sorted(trace_dir.rglob("*.pkl")):
-                if path.stem in workloads:
-                    continue
-                workload = self._read_pickle(path)
-                if workload is not None:
-                    workloads[path.stem] = workload
-        plan_entries, windows = 0, 0
-        for workload in workloads.values():
-            for trace in workload.invocations:
-                entries, count = vector_summary(trace)
-                plan_entries += entries
-                windows += count
-        return plan_entries, windows
 
     def temp_stats(self):
         """Return ``(count, total_bytes)`` for orphaned ``.tmp-*`` files.

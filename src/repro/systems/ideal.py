@@ -35,12 +35,6 @@ class IdealSystem(BaseSystem):
     def _free_phase_quote(phase, now, horizon, interval):
         return 1, 1
 
-    @staticmethod
-    def _free_phase_quote_batch(window, now, horizon, interval):
-        # No guard can fail and no hierarchy counters exist, so every
-        # window is accepted whole at the free per-op latency.
-        return len(window.phases), 1, 1
-
     def _replay_adapter(self):
         return IdealReplayAdapter(self)
 
@@ -49,5 +43,4 @@ class IdealSystem(BaseSystem):
         return core.run(trace, now, self._free_access, self._mlp(trace),
                         access_run=self._free_access_run,
                         phase_quote=self._free_phase_quote,
-                        phase_quote_batch=self._free_phase_quote_batch,
                         leased_phases=False)

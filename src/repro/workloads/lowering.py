@@ -52,8 +52,9 @@ from ..common.types import ComputeOp, MemOp
 #: Bump when the lowered format changes incompatibly; part of the
 #: engine's prepared-workload cache key.  Version 3 adds compiled
 #: steady-state phase plans riding along with the lowered stream;
-#: version 4 adds structure-of-arrays vector plans (the vector rung).
-LOWERING_VERSION = 4
+#: version 4 added structure-of-arrays vector plans and version 5
+#: drops them again.
+LOWERING_VERSION = 5
 
 #: Attribute used to memoise lowered forms on a trace object.
 _CACHE_ATTR = "_lowered_by_width"
@@ -214,7 +215,6 @@ def invalidate_lowered(trace):
     """
     trace.__dict__.pop(_CACHE_ATTR, None)
     trace.__dict__.pop("_phase_plans", None)
-    trace.__dict__.pop("_vector_plans", None)
     trace.__dict__.pop("_touched_blocks", None)
     trace.__dict__.pop("_dirty_blocks", None)
 
@@ -226,19 +226,13 @@ def lower_workload(workload, issue_width=4):
     into its disk cache, so pool workers load ready-to-run streams
     instead of re-executing kernels and re-lowering.  Compiled phase
     plans (the steady-state fast path's unit of work) are built here
-    too, so they ride along in the same pickle — and, when numpy is
-    available, the structure-of-arrays vector plans above them (the
-    vector rung; skipped cleanly on a numpy-less install).  Returns
-    the workload for chaining.
+    too, so they ride along in the same pickle.  Returns the workload
+    for chaining.
     """
-    from . import vector
     from .phases import phase_plan
 
     for trace in workload.invocations:
         lowered_trace(trace, issue_width)
         phase_plan(trace, issue_width, leased=True)
         phase_plan(trace, issue_width, leased=False)
-        if vector.HAVE_NUMPY:
-            vector.vector_plan(trace, issue_width, leased=True)
-            vector.vector_plan(trace, issue_width, leased=False)
     return workload

@@ -41,6 +41,26 @@ def test_nested_counters_are_summed():
     assert breakdown["local"] == 4.0
 
 
+def test_scoped_counters_fold_serially_in_snapshot_order():
+    # A serial left fold drops each 1.0 against 1e16 (ties round to
+    # even); a pairwise or compensated sum would keep them.
+    stats = {"l1x.energy_pj": 1e16, "tile0.l1x.energy_pj": 1.0,
+             "tile1.l1x.energy_pj": 1.0}
+    assert repr(breakdown_from_stats(stats)["l1x"]) == repr(1e16)
+    assert repr(1e16 + (1.0 + 1.0)) != repr(1e16)
+
+    import random
+    rng = random.Random(42)
+    for _ in range(50):
+        stats = {"l2.energy_pj": rng.uniform(-1e6, 1e6)}
+        expected = stats["l2.energy_pj"]
+        for tile in range(rng.randrange(1, 64)):
+            amount = rng.uniform(-1e3, 1e3)
+            stats["tile{}.l2.energy_pj".format(tile)] = amount
+            expected += amount
+        assert repr(breakdown_from_stats(stats)["l2"]) == repr(expected)
+
+
 def test_cache_to_compute_ratio():
     breakdown = EnergyBreakdown({"compute": 10.0, "l1x": 25.0})
     assert breakdown.cache_to_compute_ratio() == pytest.approx(2.5)

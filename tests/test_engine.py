@@ -419,14 +419,17 @@ def test_clear_cache_clears_workload_registry():
     assert after is not before
 
 
-# -- cache schema migration (v1 -> v2) --------------------------------------
+# -- cache schema migration ---------------------------------------------------
 
-def _plant_stale_schema(root, entries=2):
-    """Drop pickles into an old-schema version dir, the way a pre-bump
-    process left them (results under ``v1/<aa>/`` plus one prepared
-    trace under ``v1/traces/<aa>/``)."""
+#: Every schema directory an older release could have left behind.
+STALE_SCHEMAS = ["v{}".format(v) for v in range(1, CACHE_SCHEMA_VERSION)]
+
+
+def _plant_stale_schema(stale, entries=2):
+    """Drop pickles into the old-schema version dir ``stale``, the way a
+    pre-bump process left them (results under ``<stale>/<aa>/`` plus one
+    prepared trace under ``<stale>/traces/<aa>/``)."""
     import pickle as pkl
-    stale = root / "v1"
     written = []
     for index in range(entries):
         sub = stale / ("a%d" % index)
@@ -451,52 +454,41 @@ def test_entries_live_under_versioned_dir(engine):
 
 
 def test_stale_schema_entries_are_never_read(engine):
-    """Old-schema pickles sit in their own tree: a run over a root
-    holding only v1 entries recomputes (no torn reads, no corrupt
-    drops) and writes fresh entries under the current dir."""
-    _plant_stale_schema(engine.cache.root)
+    """Old-schema pickles sit in their own trees: a run over a root
+    holding only old-schema entries recomputes (no torn reads, no
+    corrupt drops) and writes fresh entries under the current dir."""
+    for schema in STALE_SCHEMAS:
+        _plant_stale_schema(engine.cache.root / schema)
     [result] = engine.run_batch(_batch("FUSION"))
     assert engine.telemetry.computed == 1
     assert engine.telemetry.disk_hits == 0
     assert engine.cache.corrupt_drops == 0
     assert result.accel_cycles > 0
-    # The stale tree is untouched by normal operation.
-    assert len(list((engine.cache.root / "v1").rglob("*.pkl"))) == 3
+    # The stale trees are untouched by normal operation.
+    for schema in STALE_SCHEMAS:
+        assert len(list((engine.cache.root / schema).rglob("*.pkl"))) == 3
 
 
 def test_stale_schema_stats_counts_old_entries(engine):
     assert engine.cache.stale_schema_stats() == (0, 0)
-    _plant_stale_schema(engine.cache.root)
+    for schema in STALE_SCHEMAS:
+        _plant_stale_schema(engine.cache.root / schema)
     engine.run_batch(_batch("FUSION"))
     entries, total_bytes = engine.cache.stale_schema_stats()
-    assert entries == 3 and total_bytes > 0
+    assert entries == 3 * len(STALE_SCHEMAS) and total_bytes > 0
     # Current-schema tallies exclude the stale tree.
     assert engine.cache.disk_stats()[0] == 1
     assert engine.cache.trace_stats()[0] == 1
 
 
 def test_clear_reaps_stale_schema_dirs(engine):
-    _plant_stale_schema(engine.cache.root)
+    for schema in STALE_SCHEMAS:
+        _plant_stale_schema(engine.cache.root / schema)
     engine.run_batch(_batch("FUSION"))
-    # 1 result + 1 prepared trace (current) + 3 stale entries.
-    assert engine.cache.clear() == 5
+    # 1 result + 1 prepared trace (current) + 3 stale entries per schema.
+    assert engine.cache.clear() == 2 + 3 * len(STALE_SCHEMAS)
     assert engine.cache.stale_schema_stats() == (0, 0)
-    assert not (engine.cache.root / "v1").exists()
+    for schema in STALE_SCHEMAS:
+        assert not (engine.cache.root / schema).exists()
     assert engine.cache.disk_stats() == (0, 0)
 
-
-def test_vector_stats_counts_soa_plans(engine):
-    from repro.workloads.vector import HAVE_NUMPY
-    assert engine.cache.vector_stats() == (0, 0)
-    engine.jobs = 1  # serial, so prepared traces land on engine.cache
-    engine.run_batch(_batch("FUSION"))
-    plan_entries, windows = engine.cache.vector_stats()
-    if HAVE_NUMPY:
-        assert plan_entries > 0
-    else:
-        assert (plan_entries, windows) == (0, 0)
-
-    # A fresh cache over the same root sees the plans ride the
-    # prepared-trace pickles from disk.
-    fresh = DiskCache(engine.cache.root)
-    assert fresh.vector_stats() == (plan_entries, windows)
