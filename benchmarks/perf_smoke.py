@@ -18,10 +18,14 @@ protocol stack once op-by-op and once with the controller's
 ``access_run`` entry point wired in.  Above those sits the replay
 pair: an iterated Figure-6 FFT workload through the full FUSION system
 with ``REPLAY_INVOCATIONS`` off (steady phases) and on (guarded
-invocation replay), timed interleaved best-of-3.
+invocation replay), timed interleaved best-of-3.  The last pair is not
+a ladder rung but the prepared-trace load: a bare ``pickle.loads`` of a
+small-size trace with the collector off against ``prepared_workload``
+reading the same entry, which must keep the cyclic collector off the
+new trace heap.
 
-Each pair must produce the *same end time* (semantics check), and each
-fast/slow ops-per-second ratio must stay within ``TOLERANCE`` of the
+Each simulation pair must produce the *same end time* (semantics
+check), and each fast/slow ratio must stay within ``TOLERANCE`` of the
 committed baseline (``benchmarks/results/perf_baseline.json``).
 Comparing *ratios* rather than absolute ops/sec keeps the gate
 meaningful across machines of different speeds.
@@ -368,6 +372,59 @@ def run_replay_measurement(repeats=3):
     }
 
 
+def run_trace_load_measurement(benchmark="histogram", size="small",
+                               repeats=REPEATS):
+    """Measure a prepared-trace load against a bare unpickle; returns
+    the metrics dict.
+
+    One small-size prepared trace (about 6 MB of pickle) is written to
+    a scratch cache, then read back two ways per repeat, interleaved
+    best-of-N: ``pickle.loads`` of its bytes with the cyclic collector
+    disabled (the floor), and ``prepared_workload`` through a fresh
+    :class:`~repro.sim.engine.DiskCache` (disk read, unpickle, and the
+    engine's collector handling).  ``ratio`` is floor time over load
+    time: near 1 when the load keeps the collector off the new objects,
+    about 0.4 when full collections walk them mid-unpickle.
+    """
+    import gc
+    import pickle
+    import tempfile
+
+    from repro.sim.engine import DiskCache, prepared_workload
+    from repro.workloads.registry import clear_caches
+
+    unpickle_s = load_s = float("inf")
+    with tempfile.TemporaryDirectory() as root:
+        prepared_workload(benchmark, size, DiskCache(root))
+        clear_caches()  # drop the registry's copy of the built trace
+        [path] = pathlib.Path(root).rglob("*.pkl")
+        data = path.read_bytes()
+        for _ in range(repeats):
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                workload = pickle.loads(data)
+                unpickle_s = min(unpickle_s, time.perf_counter() - start)
+            finally:
+                gc.enable()
+            del workload
+            cache = DiskCache(root)
+            start = time.perf_counter()
+            workload = prepared_workload(benchmark, size, cache)
+            load_s = min(load_s, time.perf_counter() - start)
+            if cache.trace_disk_hits != 1:
+                raise AssertionError("prepared trace was not read from disk")
+            del workload, cache
+    return {
+        "benchmark": benchmark,
+        "size": size,
+        "trace_mb": round(len(data) / 1e6, 2),
+        "unpickle_s": round(unpickle_s, 4),
+        "load_s": round(load_s, 4),
+        "ratio": round(unpickle_s / load_s, 3),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--write-baseline", action="store_true",
@@ -396,6 +453,13 @@ def main(argv=None):
           "hits)".format(**replay))
     print("speedup: {speedup:.2f}x (invocation replay over steady "
           "phases)".format(**replay))
+    trace_load = run_trace_load_measurement()
+    print("unpickle : {unpickle_s:>10.3f} s ({benchmark} {size}, {trace_mb} "
+          "MB, collector off)".format(**trace_load))
+    print("load     : {load_s:>10.3f} s (prepared_workload, fresh "
+          "cache)".format(**trace_load))
+    print("ratio: {ratio:.2f}x (bare unpickle time over prepared-trace "
+          "load time)".format(**trace_load))
 
     if args.write_baseline:
         payload = {
@@ -410,12 +474,15 @@ def main(argv=None):
                 "replayed passes interleaved best-of-3 on the iterated "
                 "Figure-6 FFT through the full FUSION system, results "
                 "checked bit-identical; the recorded speedup must stay "
-                "at or above the 1.8x acceptance floor.".format(
-                    time.strftime("%Y-%m-%d"))),
+                "at or above the 1.8x acceptance floor.  trace_load.ratio "
+                "is a bare collector-off unpickle of a small-size trace "
+                "over prepared_workload loading it, interleaved "
+                "best-of-N.".format(time.strftime("%Y-%m-%d"))),
             "micro": metrics,
             "run_coalesce": coalesce,
             "steady_phases": phases,
             "invocation_replay": replay,
+            "trace_load": trace_load,
             "tolerance": TOLERANCE,
         }
         BASELINE_PATH.parent.mkdir(exist_ok=True)
@@ -444,6 +511,9 @@ def main(argv=None):
         gates.append(("invocation replay",
                       baseline["invocation_replay"]["speedup"],
                       replay["speedup"]))
+    if "trace_load" in baseline:
+        gates.append(("prepared-trace load",
+                      baseline["trace_load"]["ratio"], trace_load["ratio"]))
     for label, reference, measured in gates:
         floor = reference * (1.0 - tolerance)
         # The replay rung also carries an absolute acceptance floor:
@@ -451,7 +521,7 @@ def main(argv=None):
         # tolerance of a (possibly decaying) baseline.
         if label == "invocation replay":
             floor = max(floor, 1.8)
-        print("{}: baseline speedup {:.2f}x; floor {:.2f}x; "
+        print("{}: baseline {:.2f}x; floor {:.2f}x; "
               "measured {:.2f}x".format(label, reference, floor, measured))
         if measured < floor:
             print("FAIL: {} regressed more than {:.0%} vs baseline".format(

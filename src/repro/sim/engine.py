@@ -35,6 +35,11 @@ throughput:
   via ``REPRO_ENGINE_LOG``) and counted on :class:`EngineTelemetry`;
   ``REPRO_FAULT_SPEC`` (:mod:`repro.sim.faults`) injects deterministic
   crashes/hangs/cache corruption so all of it is testable in CI.
+* Prepared traces are a long-lived heap of millions of small objects,
+  so :func:`prepared_workload` reads or builds them with the cyclic
+  collector paused and then freezes them (``gc.freeze()``): no later
+  collection walks them, while simulations keep the collector on for
+  their own cyclic ``System`` graphs.
 
 The driver (:mod:`repro.sim.simulator`) routes every ``run()`` through
 the process-wide engine, so single-point callers transparently share
@@ -43,6 +48,7 @@ the same cache as batch submitters.
 
 import contextlib
 import copy
+import gc
 import hashlib
 import json
 import os
@@ -277,16 +283,53 @@ def prepared_workload(benchmark, size, cache=None, epoch=0):
     Prepared workloads are pickled into the engine's disk cache so pool
     workers (and later processes) never re-execute the kernel generators
     or the dependence-graph analysis.
+
+    A hit in the cache's in-memory index returns at once.  A miss reads
+    the trace from disk, or else builds, lowers and stores it, inside
+    :func:`_long_lived_heap`, so the new trace graph is never walked by
+    the cyclic collector.
     """
     cache = cache if cache is not None else get_engine().cache
     key = trace_cache_key(benchmark, size, epoch)
-    workload = cache.load_trace(key)
-    if workload is None:
-        workload = build_workload(benchmark, size)
-        lower_workload(workload)
-        function_mlp(workload)
-        cache.store_trace(key, workload)
+    workload = cache.cached_trace(key)
+    if workload is not None:
+        return workload
+    with _long_lived_heap():
+        workload = cache.load_trace(key)
+        if workload is None:
+            workload = build_workload(benchmark, size)
+            lower_workload(workload)
+            function_mlp(workload)
+            cache.store_trace(key, workload)
     return workload
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, restoring the caller's state after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@contextlib.contextmanager
+def _long_lived_heap():
+    """Create objects that live for the rest of the process.
+
+    Collects first, so the cyclic garbage of earlier simulations (a
+    finished ``System`` is a cycle) is not frozen with them; then runs
+    the body with the collector paused and, if it succeeds, moves every
+    tracked object into the permanent generation (``gc.freeze()``).
+    Frozen objects are still freed by reference counting.
+    """
+    gc.collect()
+    with _collector_paused():
+        yield
+        gc.freeze()
 
 
 def _execute(request, cache=None, epoch=None):
@@ -500,26 +543,27 @@ class DiskCache:
         self._write_pickle(self._path(key), result)
         self.stores += 1
 
-    def load_trace(self, key):
-        """Return the cached prepared workload for ``key`` or ``None``.
-
-        Always consults the in-memory index (preserving object identity
-        within a process, like the workload registry's own memo); the
-        disk tier is skipped when caching is disabled.
-        """
-        if key is None:
-            return None
-        index_key = (str(self.root), "trace", key)
-        if index_key in self._index:
+    def cached_trace(self, key):
+        """Return the prepared workload for ``key`` from the in-memory
+        index (preserving object identity within a process, like the
+        workload registry's own memo), or ``None``."""
+        workload = self._index.get((str(self.root), "trace", key))
+        if workload is not None:
             self.trace_memory_hits += 1
-            return self._index[index_key]
-        if not self.enabled:
+        return workload
+
+    def load_trace(self, key):
+        """Read the prepared workload for ``key`` from disk into the
+        in-memory index; ``None`` when it is absent or unreadable, or
+        caching is disabled.  Callers try :meth:`cached_trace` first.
+        """
+        if key is None or not self.enabled:
             return None
         workload = self._read_pickle(self._trace_path(key))
         if workload is None:
             self.trace_misses += 1
             return None
-        self._index[index_key] = workload
+        self._index[(str(self.root), "trace", key)] = workload
         self.trace_disk_hits += 1
         return workload
 
@@ -650,27 +694,36 @@ class DiskCache:
         variants across invocation traces and ``phases`` the distinct
         compiled phase windows inside them — the artifacts
         ``invalidate_lowered`` evicts alongside the lowered streams.
+        On-disk pickles are read one at a time with the collector
+        paused and dropped once counted; none enters the index.
         """
         from ..workloads.phases import plan_summary
 
-        workloads = {}
-        for index_key, workload in self._index.items():
-            if index_key[1] == "trace":
-                workloads[index_key[2]] = workload
-        trace_dir = self._trace_dir()
-        if trace_dir.is_dir():
-            for path in sorted(trace_dir.rglob("*.pkl")):
-                if path.stem in workloads:
-                    continue
-                workload = self._read_pickle(path)
-                if workload is not None:
-                    workloads[path.stem] = workload
         plan_entries, phases = 0, 0
-        for workload in workloads.values():
+
+        def tally(workload):
+            nonlocal plan_entries, phases
             for trace in workload.invocations:
                 entries, windows = plan_summary(trace)
                 plan_entries += entries
                 phases += windows
+
+        seen = set()
+        for index_key, workload in self._index.items():
+            if index_key[1] == "trace" and index_key[2] not in seen:
+                seen.add(index_key[2])
+                tally(workload)
+        trace_dir = self._trace_dir()
+        if trace_dir.is_dir():
+            for path in sorted(trace_dir.rglob("*.pkl")):
+                if path.stem in seen:
+                    continue
+                with _collector_paused():
+                    workload = self._read_pickle(path)
+                if workload is not None:
+                    tally(workload)
+                # Free this trace before the next one is read.
+                del workload
         return plan_entries, phases
 
     def temp_stats(self):

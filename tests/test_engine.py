@@ -2,8 +2,10 @@
 (repro.sim.engine)."""
 
 import dataclasses
+import gc
 import os
 import pickle
+import weakref
 
 import pytest
 
@@ -23,6 +25,7 @@ from repro.sim.engine import (
     code_fingerprint,
     configure,
     get_engine,
+    prepared_workload,
     reset_engine,
     resolve_jobs,
 )
@@ -279,6 +282,132 @@ def test_trace_cache_disabled_by_env(engine, monkeypatch):
     engine.run_batch(_batch("FUSION"))
     assert engine.cache.trace_stats() == (0, 0)
     assert engine.cache.trace_stores == 0
+
+
+# -- the prepared-trace heap and the cyclic collector ----------------------
+
+@pytest.fixture
+def thaw():
+    """Unfreeze what the engine froze, so later tests run with the
+    collector state pytest had."""
+    yield
+    gc.unfreeze()
+
+
+@pytest.fixture
+def collector_off():
+    """Disable the collector for the test and restore it after."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+def _populated_root(tmp_path, benchmark="adpcm"):
+    """A cache root holding the tiny prepared trace of ``benchmark``."""
+    root = tmp_path / "cache"
+    prepared_workload(benchmark, "tiny", DiskCache(root))
+    return root
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("source", ["build", "disk"])
+def test_prepared_miss_freezes_and_restores_collector(tmp_path, thaw,
+                                                      source, enabled):
+    root = (_populated_root(tmp_path) if source == "disk"
+            else tmp_path / "empty")
+    cache = DiskCache(root)
+    gc.unfreeze()
+    if not enabled:
+        gc.disable()
+    try:
+        prepared_workload("adpcm", "tiny", cache)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert gc.get_freeze_count() > 0
+    if source == "disk":
+        assert cache.trace_disk_hits == 1 and cache.trace_stores == 0
+    else:
+        assert cache.trace_stores == 1
+
+
+def test_prepared_memory_hit_neither_collects_nor_freezes(tmp_path, thaw,
+                                                          collector_off):
+    cache = DiskCache(tmp_path / "cache")
+    first = prepared_workload("adpcm", "tiny", cache)
+    full_collections = gc.get_stats()[2]["collections"]
+    frozen = gc.get_freeze_count()
+    assert prepared_workload("adpcm", "tiny", cache) is first
+    assert cache.trace_memory_hits == 1
+    assert gc.get_stats()[2]["collections"] == full_collections
+    assert gc.get_freeze_count() == frozen
+
+
+def test_failed_build_leaves_collector_enabled(tmp_path, thaw, monkeypatch):
+    from repro.sim import engine as engine_mod
+
+    def broken_build(benchmark, size):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(engine_mod, "build_workload", broken_build)
+    gc.unfreeze()
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        prepared_workload("adpcm", "tiny", DiskCache(tmp_path / "cache"))
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+
+
+def test_corrupt_trace_pickle_leaves_collector_enabled(tmp_path, thaw):
+    root = _populated_root(tmp_path)
+    [path] = root.rglob("*.pkl")
+    path.write_bytes(b"not a pickle")
+    cache = DiskCache(root)
+    workload = prepared_workload("adpcm", "tiny", cache)
+    assert cache.corrupt_drops == 1 and cache.trace_stores == 1
+    assert workload.invocations
+    assert gc.isenabled()
+
+
+def test_frozen_trace_is_freed_by_refcounting(tmp_path, thaw):
+    """Frozen objects are never collected, so a cycle in the trace
+    graph would leak every trace a long-running daemon drops."""
+    cache = DiskCache(_populated_root(tmp_path))
+    workload = prepared_workload("adpcm", "tiny", cache)
+    assert cache.trace_disk_hits == 1
+    trace = weakref.ref(workload.invocations[0])
+    cache.clear_index()
+    del workload
+    assert trace() is None
+
+
+def test_finished_system_is_not_frozen(tmp_path, thaw, collector_off):
+    """A finished ``System`` is cyclic garbage; the next trace miss must
+    collect it before freezing, or it is pinned for good."""
+    from repro.systems import SYSTEMS
+    cache = DiskCache(tmp_path / "cache")
+    workload = prepared_workload("adpcm", "tiny", cache)
+    system = SYSTEMS["FUSION"](small_config(), workload)
+    system.run()
+    finished = weakref.ref(system)
+    del system
+    prepared_workload("fft", "tiny", cache)
+    assert finished() is None
+
+
+def test_phase_stats_counts_plans_without_keeping_traces(tmp_path, thaw):
+    from repro.workloads.phases import plan_summary
+    root = _populated_root(tmp_path)
+    workload = prepared_workload("adpcm", "tiny", DiskCache(root))
+    summaries = [plan_summary(trace) for trace in workload.invocations]
+    expected = (sum(entries for entries, _ in summaries),
+                sum(phases for _, phases in summaries))
+    assert expected[0] > 0 and expected[1] > 0
+    cache = DiskCache(root)
+    assert cache.phase_stats() == expected
+    assert cache._index == {}
+    assert gc.isenabled()
 
 
 # -- batching --------------------------------------------------------------
