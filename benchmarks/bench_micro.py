@@ -13,7 +13,6 @@ import functools
 
 import perf_smoke
 
-from repro.accel import replay as replay_mod
 from repro.accel.core import AxcCore
 from repro.common.config import small_config
 from repro.common.stats import StatsRegistry
@@ -174,8 +173,7 @@ def test_micro_acc_windows_phased(benchmark):
 
 @functools.lru_cache(maxsize=1)
 def _iterated_fft_workload():
-    """A small iterated FFT: every invocation recurs eight times, the
-    recurrence shape the invocation replay cache targets."""
+    """A small iterated FFT: every invocation recurs eight times."""
     from repro.workloads.kernels import fft
     from repro.workloads.registry import _factory
 
@@ -183,49 +181,19 @@ def _iterated_fft_workload():
     return workload
 
 
-def _run_fusion(workload, replay_on):
+def _run_fusion(workload):
     from repro.systems import SYSTEMS
 
-    original = replay_mod.REPLAY_INVOCATIONS
-    replay_mod.REPLAY_INVOCATIONS = replay_on
-    try:
-        return SYSTEMS["FUSION"](small_config(), workload).run()
-    finally:
-        replay_mod.REPLAY_INVOCATIONS = original
+    return SYSTEMS["FUSION"](small_config(), workload).run()
 
 
 def test_micro_fusion_fft_phased(benchmark):
-    """Whole-system wall time with the replay rung off: the iterated
-    FFT is served by the steady-phase path (comparison point for the
-    replay rung's claim)."""
+    """Whole-system wall time of the iterated FFT on FUSION, served by
+    the steady-phase path (the top rung of the fallback ladder)."""
     workload = _iterated_fft_workload()
-    _run_fusion(workload, False)  # warm the lowering/DMA trace caches
+    _run_fusion(workload)  # warm the lowering/DMA trace caches
 
-    benchmark(lambda: _run_fusion(workload, False))
-
-
-def test_micro_fusion_fft_replayed(benchmark):
-    """Whole-system wall time with the guarded invocation replay cache
-    serving recorded invocations whole (top rung of the fallback
-    ladder)."""
-    workload = _iterated_fft_workload()
-    _run_fusion(workload, True)  # warm caches and record invocations
-
-    benchmark(lambda: _run_fusion(workload, True))
-
-
-def test_micro_replay_matches_phased():
-    """Semantics gate: the replay rung reports results bit-identical to
-    the phased path (the full property is pinned across systems and
-    adversarial leases by ``tests/test_property_replay.py``)."""
-    workload = _iterated_fft_workload()
-    phased = _run_fusion(workload, False)
-    replayed = _run_fusion(workload, True)
-    assert replayed.accel_cycles == phased.accel_cycles
-    assert replayed.total_cycles == phased.total_cycles
-    assert repr(replayed.energy.total_pj) == repr(phased.energy.total_pj)
-    assert (sorted((n, repr(v)) for n, v in replayed.stats.items())
-            == sorted((n, repr(v)) for n, v in phased.stats.items()))
+    benchmark(lambda: _run_fusion(workload))
 
 
 def test_micro_host_load_hit(benchmark):

@@ -15,14 +15,11 @@ ways:
 It also measures the run-coalescing fast path the same way: a
 run-heavy synthetic invocation driven through a real ACC L0X/L1X
 protocol stack once op-by-op and once with the controller's
-``access_run`` entry point wired in.  Above those sits the replay
-pair: an iterated Figure-6 FFT workload through the full FUSION system
-with ``REPLAY_INVOCATIONS`` off (steady phases) and on (guarded
-invocation replay), timed interleaved best-of-3.  The last pair is not
-a ladder rung but the prepared-trace load: a bare ``pickle.loads`` of a
-small-size trace with the collector off against ``prepared_workload``
-reading the same entry, which must keep the cyclic collector off the
-new trace heap.
+``access_run`` entry point wired in, and the steady-state phase path
+over coalesced serving.  The last pair is not a ladder rung but the
+prepared-trace load: a bare ``pickle.loads`` of a small-size trace with
+the collector off against ``prepared_workload`` reading the same entry,
+which must keep the cyclic collector off the new trace heap.
 
 Each simulation pair must produce the *same end time* (semantics
 check), and each fast/slow ratio must stay within ``TOLERANCE`` of the
@@ -305,73 +302,6 @@ def run_phase_measurement():
     }
 
 
-def run_replay_measurement(repeats=3):
-    """Measure phased vs replayed whole-system wall time; returns the
-    metrics dict.
-
-    The top rung of the fallback ladder: an iterated Figure-6 FFT
-    workload (every invocation recurs twelve times, the shape the
-    invocation replay cache targets) is run through the full FUSION
-    system with ``REPLAY_INVOCATIONS`` off (the steady-phase path
-    serves everything) and on (recorded invocations are served whole
-    from the guarded replay cache).  Timings are interleaved best-of-N
-    on one machine state, and both paths must report bit-identical
-    results — the rung's equivalence claim, pinned across systems and
-    adversarial leases by ``tests/test_property_replay.py``.
-    """
-    from repro.accel import replay as replay_mod
-    from repro.common.config import small_config
-    from repro.systems import SYSTEMS
-    from repro.workloads.kernels import fft
-    from repro.workloads.registry import _factory
-
-    workload, _ = fft.build_workload(_factory, n=256, iterations=12)
-    fusion = SYSTEMS["FUSION"]
-
-    def fingerprint(result):
-        return (result.accel_cycles, result.total_cycles,
-                repr(result.energy.total_pj),
-                tuple(sorted((name, repr(value))
-                             for name, value in result.stats.items())))
-
-    original = replay_mod.REPLAY_INVOCATIONS
-    phased_s = replayed_s = float("inf")
-    try:
-        # Warm both paths once (lowering/DMA caches attach to the
-        # shared trace objects), then check bit-identity.
-        replay_mod.REPLAY_INVOCATIONS = False
-        phased = fusion(small_config(), workload).run()
-        replay_mod.REPLAY_INVOCATIONS = True
-        replay_mod.reset_telemetry()
-        replayed = fusion(small_config(), workload).run()
-        if fingerprint(phased) != fingerprint(replayed):
-            raise AssertionError(
-                "semantics drift: replay on/off results differ")
-        telemetry = replay_mod.telemetry_snapshot()
-
-        for _ in range(repeats):
-            replay_mod.REPLAY_INVOCATIONS = False
-            start = time.perf_counter()
-            fusion(small_config(), workload).run()
-            phased_s = min(phased_s, time.perf_counter() - start)
-            replay_mod.REPLAY_INVOCATIONS = True
-            start = time.perf_counter()
-            fusion(small_config(), workload).run()
-            replayed_s = min(replayed_s, time.perf_counter() - start)
-    finally:
-        replay_mod.REPLAY_INVOCATIONS = original
-    return {
-        "benchmark": "fft",
-        "n": 256,
-        "iterations": 12,
-        "phased_s": round(phased_s, 4),
-        "replayed_s": round(replayed_s, 4),
-        "replay_hits": telemetry["hits"],
-        "replay_recordings": telemetry["recordings"],
-        "speedup": round(phased_s / replayed_s, 3),
-    }
-
-
 def run_trace_load_measurement(benchmark="histogram", size="small",
                                repeats=REPEATS):
     """Measure a prepared-trace load against a bare unpickle; returns
@@ -446,13 +376,6 @@ def main(argv=None):
     print("phased   : {phased_ops_per_s:>10,} ops/s".format(**phases))
     print("speedup: {speedup:.2f}x (steady phases over coalesced "
           "serving)".format(**phases))
-    replay = run_replay_measurement()
-    print("phased   : {phased_s:>10.3f} s (iterated fft, full FUSION "
-          "system)".format(**replay))
-    print("replayed : {replayed_s:>10.3f} s ({replay_hits} guard "
-          "hits)".format(**replay))
-    print("speedup: {speedup:.2f}x (invocation replay over steady "
-          "phases)".format(**replay))
     trace_load = run_trace_load_measurement()
     print("unpickle : {unpickle_s:>10.3f} s ({benchmark} {size}, {trace_mb} "
           "MB, collector off)".format(**trace_load))
@@ -470,18 +393,13 @@ def main(argv=None):
                 "(micro.speedup, run_coalesce.speedup, "
                 "steady_phases.speedup); wall-clock comparisons are "
                 "only meaningful interleaved on one machine state.  "
-                "invocation_replay is measured that way: phased vs "
-                "replayed passes interleaved best-of-3 on the iterated "
-                "Figure-6 FFT through the full FUSION system, results "
-                "checked bit-identical; the recorded speedup must stay "
-                "at or above the 1.8x acceptance floor.  trace_load.ratio "
+                "trace_load.ratio "
                 "is a bare collector-off unpickle of a small-size trace "
                 "over prepared_workload loading it, interleaved "
                 "best-of-N.".format(time.strftime("%Y-%m-%d"))),
             "micro": metrics,
             "run_coalesce": coalesce,
             "steady_phases": phases,
-            "invocation_replay": replay,
             "trace_load": trace_load,
             "tolerance": TOLERANCE,
         }
@@ -507,20 +425,11 @@ def main(argv=None):
         gates.append(("steady phases",
                       baseline["steady_phases"]["speedup"],
                       phases["speedup"]))
-    if "invocation_replay" in baseline:
-        gates.append(("invocation replay",
-                      baseline["invocation_replay"]["speedup"],
-                      replay["speedup"]))
     if "trace_load" in baseline:
         gates.append(("prepared-trace load",
                       baseline["trace_load"]["ratio"], trace_load["ratio"]))
     for label, reference, measured in gates:
         floor = reference * (1.0 - tolerance)
-        # The replay rung also carries an absolute acceptance floor:
-        # the recorded speedup must stay >= 1.8x, not merely within
-        # tolerance of a (possibly decaying) baseline.
-        if label == "invocation replay":
-            floor = max(floor, 1.8)
         print("{}: baseline {:.2f}x; floor {:.2f}x; "
               "measured {:.2f}x".format(label, reference, floor, measured))
         if measured < floor:

@@ -49,9 +49,10 @@ entry state (outstanding fills expressed as clock offsets) in O(1) —
 a cache miss replays the issue timeline once, with no protocol calls,
 and serves every later entry with the same signature.  A declined quote
 drops the window to the per-run coalesced path, and below that the
-per-op path: the fallback ladder of ``docs/simulator.md`` §10.  ``STEADY_PHASES`` (initialised
-from the environment variable of the same name, read at call time like
-``COALESCE_RUNS``) toggles the path for equivalence testing.
+per-op path: the fallback ladder of ``docs/simulator.md`` §10, whose
+top rung this is.  ``STEADY_PHASES`` (initialised from the environment
+variable of the same name, read at call time like ``COALESCE_RUNS``)
+toggles the path for equivalence testing.
 
 Energy: Aladdin-style activity counts are charged per compute chunk.
 """

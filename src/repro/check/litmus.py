@@ -265,63 +265,7 @@ PHASE_BOUNDARY = LitmusTest(
          "final:b0=host.w1"]),
 )
 
-# Replay window: axc0 warms b0, then issues the same three-op window
-# three times through the invocation replay rung.  Occurrence one is
-# expanded per-op and recorded; occurrence two replays it while the
-# (long, 5000-cycle) lease still COVERS-matches the recorded guard;
-# occurrence three opens after an advance that expired the epoch, so
-# the guard must decline — the recorded lease class no longer covers —
-# and the per-op fallback re-requests.  The host stores b0
-# concurrently.  Because the lease is long, a host store landing while
-# the tile holds the line stalls on GTIME until the epoch ends,
-# pushing the serialised clock past the lease — so the legal outcomes
-# are exactly the monotone ones: once the host's store serialises
-# before an axc0 event, every later observation sees it.  The
-# forbidden outcomes — any window resurrecting ``init`` after an
-# earlier event saw ``host.w1``, i.e. a replay served from a dead
-# epoch — are what the ``stale-replay-fingerprint`` mutation
-# manufactures and the replay rung's ``stale-epoch-use`` shadow check
-# catches.
-REPLAY_LEASE = 5000
-
-REPLAY_WINDOW = LitmusTest(
-    name="replay-window",
-    description="A recorded invocation replays only under a live "
-                "covering epoch: expiry makes the guard decline and "
-                "the per-op fallback re-request — stale state is "
-                "never served in bulk.",
-    scenario=Scenario(
-        name="litmus-replay-window", kind="acc", lease=REPLAY_LEASE,
-        agents=(_axc(("load", 0), ("invoke", "load", 0, 3),
-                     ("invoke", "load", 0, 3),
-                     ("advance", REPLAY_LEASE + 1000),
-                     ("invoke", "load", 0, 3)),
-                _host(("store", 0),))),
-    final_blocks=(0,),
-    legal=_outcomes(
-        # Host store after every axc0 event: axc0 only ever sees init.
-        ["axc0#1:b0=init", "axc0#2:b0=init", "axc0#3:b0=init",
-         "axc0#4:b0=init", "final:b0=host.w1"],
-        # Host store between the expiry and the last window (or right
-        # after the advance): the declined replay's per-op fallback
-        # re-requests and sees it.
-        ["axc0#1:b0=init", "axc0#2:b0=init", "axc0#3:b0=init",
-         "axc0#4:b0=host.w1", "final:b0=host.w1"],
-        # Host store between the windows: its GTIME stall pushed the
-        # clock past the lease, so the second window's guard declines
-        # and its fallback re-requests.
-        ["axc0#1:b0=init", "axc0#2:b0=init", "axc0#3:b0=host.w1",
-         "axc0#4:b0=host.w1", "final:b0=host.w1"],
-        # Host store between the warming load and the first window:
-        # same stall, so even the recording occurrence re-requests.
-        ["axc0#1:b0=init", "axc0#2:b0=host.w1", "axc0#3:b0=host.w1",
-         "axc0#4:b0=host.w1", "final:b0=host.w1"],
-        # Host store before the warming load.
-        ["axc0#1:b0=host.w1", "axc0#2:b0=host.w1", "axc0#3:b0=host.w1",
-         "axc0#4:b0=host.w1", "final:b0=host.w1"]),
-)
-
 LITMUS_TESTS = (MP, PING_PONG, PRODUCER_CONSUMER, LEASE_EXPIRY,
-                PHASE_BOUNDARY, REPLAY_WINDOW)
+                PHASE_BOUNDARY)
 
 LITMUS_BY_NAME = {test.name: test for test in LITMUS_TESTS}

@@ -79,29 +79,6 @@ def _skip_phase_guard(world):
         l0x.phase_quote = phase_quote
 
 
-def _stale_replay_fingerprint(world):
-    real = world._replay_match
-
-    def replay_match(ordinal, recording, now):
-        # Show the replay guard every L0X line with its lease skewed
-        # LTIME_SKEW cycles into the future, then restore it: the
-        # recorded COVERS class matches on expired epochs while the
-        # shadow model still knows the true epoch end.
-        l0x = world.l0xs[ordinal]
-        bumped = []
-        for line in l0x.cache.lines():
-            if line.lease is not None:
-                line.lease += LTIME_SKEW
-                bumped.append(line)
-        try:
-            return real(ordinal, recording, now)
-        finally:
-            for line in bumped:
-                line.lease -= LTIME_SKEW
-
-    world._replay_match = replay_match
-
-
 def _skip_invalidation(world):
     agent = world.l1x if world.kind in ("acc", "dx") else world.shared
     agent.handle_forwarded_request = \
@@ -194,15 +171,6 @@ _ALL = (
                     "are served from expired epochs.".format(LTIME_SKEW),
         expected=("stale-epoch-use",),
         _apply=_skip_phase_guard),
-    Mutation(
-        name="stale-replay-fingerprint",
-        kinds=("acc", "dx"),
-        description="The invocation replay guard sees every lease "
-                    "{} cycles longer than granted, so whole recorded "
-                    "invocations are replayed under dead "
-                    "epochs.".format(LTIME_SKEW),
-        expected=("stale-epoch-use",),
-        _apply=_stale_replay_fingerprint),
     Mutation(
         name="skip-invalidation",
         kinds=("acc", "dx", "shared"),

@@ -17,15 +17,6 @@ Event vocabulary (per agent, executed in program order):
   run via the L0X's ``phase_quote`` and expands it per-op when the
   guard declines (the fallback ladder of ``docs/simulator.md`` §10).
   AXC agents only, and only in the lease-based (``acc``/``dx``) kinds.
-* ``("invoke", kind, k, n)`` — a guarded mini-invocation of ``n`` ops
-  of ``kind`` on block ``k``, issued through the *invocation replay
-  rung* above the phase path (``docs/simulator.md`` §11): the world
-  records the invocation's effect on its first clean (hits-only)
-  occurrence and, on later occurrences, probes the recorded guard
-  (``repro.accel.replay``'s real signature matcher) — serving the
-  whole invocation in bulk on a match and expanding per-op when the
-  guard declines.  AXC agents only, lease-based (``acc``/``dx``)
-  kinds only.
 * ``("flush",)`` — AXC invocation end: ``flush_dirty`` (ACC) or the
   shared L1X drain.  Not valid for the host.
 * ``("advance", dt)`` — let ``dt`` cycles pass without an access; this
@@ -66,7 +57,7 @@ class Agent:
             if kind in ("load", "store"):
                 if len(event) != 2 or not isinstance(event[1], int):
                     raise ValueError("bad event {!r}".format(event))
-            elif kind in ("run", "invoke"):
+            elif kind == "run":
                 if self.role == "host" or len(event) != 4 \
                         or event[1] not in ("load", "store") \
                         or not isinstance(event[2], int) \
@@ -100,10 +91,9 @@ class Scenario:
         if self.kind != "dx" and self.forward_plan:
             raise ValueError("forward_plan is FUSION-Dx only")
         if self.kind == "shared" and any(
-                event[0] in ("run", "invoke")
+                event[0] == "run"
                 for agent in self.agents for event in agent.events):
-            raise ValueError(
-                "run/invoke events are lease-based (acc/dx) only")
+            raise ValueError("run events are lease-based (acc/dx) only")
         if not any(agent.role == "axc" for agent in self.agents):
             raise ValueError("a scenario needs at least one AXC agent")
 
@@ -118,7 +108,7 @@ class Scenario:
             for event in agent.events:
                 if event[0] in ("load", "store"):
                     highest = max(highest, event[1])
-                elif event[0] in ("run", "invoke"):
+                elif event[0] == "run":
                     highest = max(highest, event[2])
         return highest + 1
 
@@ -206,20 +196,6 @@ CATALOG = (
                     "the dead epoch) and the per-op fallback must "
                     "re-request under host-store interference."),
     Scenario(
-        name="acc-replay-epoch",
-        kind="acc",
-        lease=5000,
-        agents=(_axc(("load", 0), ("invoke", "load", 0, 3),
-                     ("advance", 6000), ("invoke", "load", 0, 3)),
-                _host(("store", 0),)),
-        description="An invocation window is recorded under a long "
-                    "lease, then re-issued after the epoch died: the "
-                    "replay guard must decline (its recorded lease "
-                    "class no longer covers) and fall back per-op.  A "
-                    "guard that still matches — the "
-                    "stale-replay-fingerprint mutation — replays the "
-                    "dead epoch and is caught as stale-epoch-use."),
-    Scenario(
         name="shared-race",
         kind="shared",
         agents=(_axc(("store", 0), ("load", 1), ("flush",)),
@@ -305,13 +281,6 @@ def random_scenario(kind, seed, index):
                                rng.choice(("load", "load", "store")),
                                rng.randrange(blocks),
                                rng.choice((2, 3, 4))))
-            elif roll < 0.85 and kind != "shared":
-                # A replayed invocation window: exercises the replay
-                # rung's record/guard/decline paths above the phases.
-                events.append(("invoke",
-                               rng.choice(("load", "load", "store")),
-                               rng.randrange(blocks),
-                               rng.choice((2, 3))))
             elif roll < 0.9:
                 events.append(("load", rng.randrange(blocks)))
             else:

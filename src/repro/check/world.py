@@ -32,8 +32,6 @@ choice prefixes from scratch instead — worlds are cheap at this size.
 
 import hashlib
 
-from ..accel.replay import (Ineligible, apply_cache_transform,
-                            build_cache_recording, match_cache_signature)
 from ..coherence.acc import AccL0XController, AccL1XController
 from ..coherence.mesi import HostMemorySystem
 from ..coherence.shared_l1 import SharedL1XController
@@ -52,10 +50,6 @@ from .scenarios import DEFAULT_LEASE
 #: Virtual base address of checker blocks — one page holds all of them.
 BLOCK_BASE = 0x40000
 LINE = 64
-
-#: Recording budget per ``invoke`` key at checker scale (mirrors the
-#: production engine's small per-key store).
-REPLAY_RECORDINGS_PER_KEY = 4
 
 
 def tiny_config():
@@ -228,9 +222,6 @@ class CheckWorld:
         if kind == "run":
             self._axc_run(agent_index, event[1], event[2], event[3])
             return
-        if kind == "invoke":
-            self._axc_invoke(agent_index, event[1], event[2], event[3])
-            return
         if self.axc_of[agent_index] is None:
             self._host_access(agent_index, kind, event[1])
         else:
@@ -264,9 +255,6 @@ class CheckWorld:
         raise NotImplementedError
 
     def _axc_run(self, agent_index, kind, block_index, count):
-        raise NotImplementedError
-
-    def _axc_invoke(self, agent_index, kind, block_index, count):
         raise NotImplementedError
 
     def _flush(self, ordinal):
@@ -334,13 +322,6 @@ class AccWorld(CheckWorld):
         super().__init__(scenario)
 
     def _build(self):
-        #: ``invoke`` replay store: (ordinal, kind, block, count) ->
-        #: recorded guard/transform entries.  Deliberately *not* part of
-        #: the canonical snapshot: a replayed invocation is observation-
-        #: and state-equivalent to its per-op expansion, so two prefixes
-        #: reaching the same snapshot have identical futures whether or
-        #: not their stores agree.
-        self._replay_store = {}
         self.l1x = AccL1XController(self.config, self.host,
                                     self.page_table, self.stats)
         self.host.tile_agent = self.l1x
@@ -678,129 +659,6 @@ class AccWorld(CheckWorld):
         if kind != "store":
             self.observations.append(
                 (self.labels[agent_index], seq, block_index, observed))
-
-    def _replay_match(self, ordinal, recording, now):
-        """Probe one recording's guard against the live L0X state.
-
-        A separate method so the ``stale-replay-fingerprint`` mutation
-        can corrupt what the guard sees while the shadow model keeps
-        the truth — exactly how the ``phase-guard-skip`` mutation
-        attacks the rung below.
-        """
-        return match_cache_signature(self.l0xs[ordinal].cache,
-                                     recording["signature"], now)
-
-    def _axc_invoke(self, agent_index, kind, block_index, count):
-        """One guarded mini-invocation through the replay rung.
-
-        This is the checker-scale image of
-        ``InvocationReplayEngine.run_invocation``: the first *clean*
-        occurrence of an ``invoke`` key — every op a genuine L0X hit,
-        no acquire, no violation mid-span — is expanded per-op through
-        ``_protocol_op`` and its effect recorded with the production
-        guard builder (``build_cache_recording``, lease fields clamped
-        to PAST/COVERS classes).  Later occurrences probe the recorded
-        signature with the production matcher and, on a match, serve
-        the whole invocation in bulk: cache transform, recorded counter
-        deltas, one clock rebase.  On a mismatch the rung declines to
-        the per-op ladder, which is always correct.
-
-        The shadow per-op check mirrors ``_axc_run``'s quote branch
-        one level up: a replay serves every op as a hit, so the line's
-        *true* epoch (the shadow lease, which a mutation cannot skew)
-        must cover the instant the last replayed op issues.  A guard
-        matching under a dead epoch — the ``stale-replay-fingerprint``
-        mutation — is caught right here as ``stale-epoch-use``.
-
-        Like a run, an invoke is one logical event: one observation
-        (loads) or one write token (stores) regardless of ``count``,
-        and both paths must agree on it — the engine's bit-identity
-        contract at checker scale.
-        """
-        ordinal = self.axc_of[agent_index]
-        l0x = self.l0xs[ordinal]
-        vblock = block_vaddr(block_index)
-        key = (ordinal, vblock)
-        store_key = (ordinal, kind, block_index, count)
-        now = self.now
-        self._op_seq[agent_index] += 1
-        seq = self._op_seq[agent_index]
-        self.issued[ordinal] += count
-        token = self._next_token(agent_index) if kind == "store" else None
-        for recording in self._replay_store.get(store_key, ()):
-            if not self._replay_match(ordinal, recording, now):
-                continue
-            last_issue = now + recording["last_rel"]
-            true_end = self.shadow_lease.get(key)
-            if true_end is None or true_end <= last_issue:
-                self.report(
-                    "stale-epoch-use",
-                    "replayed an invocation of {} ops whose last hit "
-                    "issues at t={} on an epoch that ended at "
-                    "{}".format(count, last_issue, true_end),
-                    block=vblock, epoch=true_end)
-            apply_cache_transform(l0x.cache, recording["transform"], now)
-            self.stats.bulk_add(recording["stats_delta"])
-            self.now += recording["duration"]
-            if kind == "store":
-                self.l0x_value[key] = token
-                self.pending[key] = token
-            else:
-                self.observations.append(
-                    (self.labels[agent_index], seq, block_index,
-                     self.l0x_value.get(key, INIT)))
-            return
-        # Guard declined (or nothing recorded yet): expand per-op and
-        # record the invocation when the expansion stayed hits-only.
-        pre = l0x.state_signature()
-        stats_before = self.stats.snapshot()
-        lease_before = dict(self.shadow_lease)
-        violations_before = len(self._violations)
-        all_hits = True
-        last_issue = now
-        observed = INIT
-        for _ in range(count):
-            last_issue = self.now
-            ctrl_hit, forward_hit = self._protocol_op(agent_index, kind,
-                                                      block_index)
-            all_hits = all_hits and ctrl_hit
-            if kind == "store":
-                # Per op, not after the loop — see ``_axc_run``.
-                self.l0x_value[key] = token
-                self.pending[key] = token
-            elif ctrl_hit or forward_hit:
-                observed = self.l0x_value.get(key, INIT)
-            else:
-                observed = self.l0x_value[key] = \
-                    self.l1x_value.get(vblock, INIT)
-        if kind != "store":
-            self.observations.append(
-                (self.labels[agent_index], seq, block_index, observed))
-        # Guardable = the steady hits-only shape: no acquire (the
-        # shadow leases are untouched), no L1X or host traffic, no
-        # violation mid-span.  Everything else keeps falling through
-        # per-op, which handles every messy case correctly.
-        if (not all_hits or self.shadow_lease != lease_before
-                or len(self._violations) != violations_before):
-            return
-        recordings = self._replay_store.setdefault(store_key, [])
-        if len(recordings) >= REPLAY_RECORDINGS_PER_KEY:
-            return
-        duration = self.now - now
-        try:
-            signature, transform = build_cache_recording(
-                pre, l0x.state_signature(), now, clamp_lease=True,
-                cover=8 * duration + 64)
-        except Ineligible:
-            return
-        recordings.append({
-            "signature": signature,
-            "transform": transform,
-            "duration": duration,
-            "last_rel": last_issue - now,
-            "stats_delta": tuple(sorted(
-                self.stats.diff(stats_before).items())),
-        })
 
     def _flush(self, ordinal):
         return self.l0xs[ordinal].flush_dirty(self.now)

@@ -180,7 +180,6 @@ def _cmd_config(_args):
 _PROFILE_PHASES = (
     ("lowering", ("workloads/lowering",)),
     ("phases", ("workloads/phases",)),
-    ("replay", ("accel/replay",)),
     ("policy", ("policy/",)),
     ("protocol", ("coherence/", "mem/", "interconnect/", "host/",
                   "energy/")),
@@ -204,9 +203,8 @@ def _profile_phase_of(filename):
 
 def _print_phase_breakdown(stats):
     """Aggregate a :class:`pstats.Stats` by pipeline phase (tottime)."""
-    totals = {"lowering": 0.0, "phases": 0.0, "replay": 0.0,
-              "policy": 0.0, "protocol": 0.0, "engine": 0.0,
-              "other": 0.0}
+    totals = {"lowering": 0.0, "phases": 0.0, "policy": 0.0,
+              "protocol": 0.0, "engine": 0.0, "other": 0.0}
     calls = dict.fromkeys(totals, 0)
     for (filename, _line, _name), entry in stats.stats.items():
         _cc, nc, tt, _ct, _callers = entry
@@ -231,8 +229,9 @@ def _cmd_profile(args):
     starts so the report shows the simulation hot path, unless
     ``--include-build`` asks for the whole pipeline.  ``--phase``
     prepends an aggregate breakdown of where the time went: trace
-    lowering, the invocation replay rung, the coherence-protocol/memory
-    layers, or the execution engine (core model, systems, scheduler).
+    lowering, the steady-state phase engine, the policy layer, the
+    coherence-protocol/memory layers, or the execution engine (core
+    model, systems, scheduler).
     """
     import cProfile
     import pstats
@@ -260,18 +259,6 @@ def _cmd_profile(args):
     stats.sort_stats(args.sort)
     stats.print_stats(args.top)
     return 0
-
-
-def _replay_telemetry(session):
-    """Replay-rung counters for ``cache stats``: prefer this process's
-    live mirror (nonzero only when a simulation ran in-process), else
-    fall back to the snapshot persisted with the last session."""
-    from .accel.replay import telemetry_snapshot
-
-    live = telemetry_snapshot()
-    if any(live.values()):
-        return live
-    return (session or {}).get("replay") or live
 
 
 def _cmd_cache(args):
@@ -302,14 +289,6 @@ def _cmd_cache(args):
               "'cache clear' reaps them)".format(
                   stale_entries, stale_bytes / 1024.0))
     session = engine.load_session_stats()
-    replay = _replay_telemetry(session)
-    probes = replay.get("hits", 0) + replay.get("misses", 0)
-    print("replay entries : {} recording(s) across {} key(s), "
-          "{}/{} probe(s) hit{}".format(
-              replay.get("recordings", 0), replay.get("keys", 0),
-              replay.get("hits", 0), probes,
-              " ({:.0%} hit rate)".format(replay["hits"] / probes)
-              if probes else ""))
     print("temp files     : {} ({:.1f} kB orphaned; 'cache clear' "
           "sweeps them)".format(temp_count, temp_bytes / 1024.0))
     if session and "telemetry" in session:
@@ -800,8 +779,8 @@ def build_parser():
                         help="profile workload construction and "
                              "lowering too, not just the simulation")
     prof_p.add_argument("--phase", action="store_true",
-                        help="prepend an aggregate lowering / replay "
-                             "/ protocol / engine phase breakdown")
+                        help="prepend an aggregate lowering / phases "
+                             "/ policy / protocol / engine breakdown")
     prof_p.add_argument("--config", default=None,
                         help="JSON config-override file")
     prof_p.set_defaults(func=_cmd_profile)

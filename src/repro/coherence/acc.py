@@ -304,18 +304,6 @@ class AccL1XController:
         self.stats.add("fwd_evictions")
         return stall, line.dirty
 
-    # -- invocation replay surface (repro.accel.replay) ----------------------
-
-    def state_signature(self, set_indices=None):
-        """Raw replay-state capture of the L1X array (whole cache when
-        ``set_indices`` is ``None``, else just those sets)."""
-        return self.cache.capture_sets(set_indices)
-
-    def apply_transform(self, transform, t0):
-        """Apply a recorded invocation end-state transform at ``t0``."""
-        from ..accel.replay import apply_cache_transform
-        apply_cache_transform(self.cache, transform, t0)
-
 
 class AccL0XController:
     """One accelerator's private L0X under ACC."""
@@ -841,15 +829,3 @@ class AccL0XController:
         line.dirty = False
         consumer._incoming_forwards[line.block] = line.lease or now
         self.stats.add("lines_forwarded")
-
-    # -- invocation replay surface (repro.accel.replay) ----------------------
-
-    def state_signature(self, set_indices=None):
-        """Raw replay-state capture of the L0X array (whole cache when
-        ``set_indices`` is ``None``, else just those sets)."""
-        return self.cache.capture_sets(set_indices)
-
-    def apply_transform(self, transform, t0):
-        """Apply a recorded invocation end-state transform at ``t0``."""
-        from ..accel.replay import apply_cache_transform
-        apply_cache_transform(self.cache, transform, t0)

@@ -85,16 +85,6 @@ class HostMemorySystem:
         #: Registered tile agents by name; the common single-tile case
         #: uses the ``tile_agent`` property (name "tile").
         self.tile_agents = {}
-        #: Monotonic structural version for the invocation replay cache
-        #: (``repro.accel.replay``): bumped by every entry point that can
-        #: mutate host-side coherence state (L1/L2 contents or LRU,
-        #: directory ownership, DRAM row state via a fill).  Equal
-        #: version values therefore prove the host hierarchy is in the
-        #: exact state a recording captured.  The one deliberate
-        #: exception is the quiet DMA path (L2 hits with no host copy),
-        #: which only sets L2 dirty bits / creates idle directory
-        #: entries — SCRATCH recordings pin those per-block instead.
-        self.struct_version = 0
 
     @property
     def tile_agent(self):
@@ -135,7 +125,6 @@ class HostMemorySystem:
         if self.l2.contains(block):
             self._add_l2_hits()
             return 0
-        self.struct_version += 1
         self._add_l2_misses()
         latency = self.dram.access(block)
         victim = self.l2.insert(block)
@@ -214,7 +203,6 @@ class HostMemorySystem:
         if self.l1.contains(block):
             self._add_l1_hits()
             return latency
-        self.struct_version += 1
         self._add_l1_misses()
         latency += self._l2_access(block)
         latency += self._ensure_l2(block, now)
@@ -227,7 +215,6 @@ class HostMemorySystem:
     def host_store(self, paddr, now=0):
         """Host core store; returns latency in cycles."""
         block = block_address(paddr)
-        self.struct_version += 1
         latency = self._l1_access(is_store=True)
         line = self.l1.lookup(block)
         if line is not None and line.state in ("M", "E"):
@@ -278,7 +265,6 @@ class HostMemorySystem:
         response over the tile link.  Returns latency.
         """
         block = block_address(pblock)
-        self.struct_version += 1
         latency = self._l2_access(block)
         latency += self._ensure_l2(block, now)
         # Exclusivity between tiles: recall any other tile's copy.
@@ -303,7 +289,6 @@ class HostMemorySystem:
         """A tile evicts a line (self-downgrade, capacity, or GTIME
         expiry after a forward).  Returns latency."""
         block = block_address(pblock)
-        self.struct_version += 1
         if dirty:
             self._recv_putx()
         else:
@@ -349,7 +334,6 @@ class HostMemorySystem:
         if entry.cached_by(HOST):
             host_line = self.l1.lookup(block, touch=False)
             if host_line is not None and host_line.dirty:
-                self.struct_version += 1
                 host_line.dirty = False
                 host_line.state = "S"
                 self._l2_access(block, is_store=True)
@@ -371,7 +355,6 @@ class HostMemorySystem:
         latency += self._forward_to_all_tiles(block, now, is_store=True)
         entry = self.directory.entry(block)
         if entry.cached_by(HOST):
-            self.struct_version += 1
             self.l1.invalidate(block)
             entry.remove(HOST)
             self.mesi_stats.add("dma_host_invalidations")

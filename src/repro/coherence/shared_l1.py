@@ -313,14 +313,3 @@ class SharedL1XController:
             self.cache.invalidate(line.block)
             self.stats.add("flush_writebacks")
         return latency
-
-    # -- invocation replay surface (repro.accel.replay) ----------------------
-
-    def state_signature(self, set_indices=None):
-        """Raw replay-state capture of the shared L1X array."""
-        return self.cache.capture_sets(set_indices)
-
-    def apply_transform(self, transform, t0):
-        """Apply a recorded invocation end-state transform at ``t0``."""
-        from ..accel.replay import apply_cache_transform
-        apply_cache_transform(self.cache, transform, t0)

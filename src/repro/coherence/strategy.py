@@ -31,10 +31,7 @@ import abc
 from dataclasses import dataclass, field, replace
 
 from ..accel.core import AxcCore
-from ..accel.replay import (AccTileReplayAdapter, ScratchReplayAdapter,
-                            SharedL1XReplayAdapter)
 from ..accel.tile import AcceleratorTile
-from ..common.config import WritePolicy
 from ..common.errors import ConfigError
 from ..host.dma import OracleDmaController, ScratchpadAccessModel, \
     windows_for
@@ -247,9 +244,6 @@ class BoundScratchpadDma:
             now += self.dma.transfer_out(dirty, now)
         return now
 
-    def replay_adapter(self, system, strategy):
-        return ScratchReplayAdapter(system)
-
 
 class BoundSharedL1X:
     """One shared L1X participating in host MESI, plus the AXC cores."""
@@ -258,7 +252,6 @@ class BoundSharedL1X:
 
     def __init__(self, ctx):
         config = ctx.config
-        self.config = config
         self.l1x = SharedL1XController(config, ctx.host_mem,
                                        ctx.page_table, ctx.stats,
                                        agent_name=ctx.agent_name)
@@ -274,12 +267,6 @@ class BoundSharedL1X:
             access_run=self.l1x.access_run,
             phase_quote=self.l1x.phase_quote,
             leased_phases=False)
-
-    def replay_adapter(self, system, strategy):
-        if self.config.tile.model_bank_conflicts:
-            # Bank busy-until times are absolute; not replayable.
-            return None
-        return SharedL1XReplayAdapter(system)
 
 
 class BoundFusionTile:
@@ -319,20 +306,6 @@ class BoundFusionTile:
             axc, trace, now, mlp,
             lease=self.effective_lease(strategy, trace),
             forward_plan=self.forward_plan_for(strategy, index))
-
-    def replay_adapter(self, system, strategy):
-        tile = self.config.tile
-        if (strategy.lease is not None
-                or tile.model_bank_conflicts
-                or tile.lease_policy != "fixed"
-                or tile.l0x.write_policy is not WritePolicy.WRITE_BACK):
-            # Bank busy-until times are absolute (not translation
-            # invariant), adaptive leases carry cross-invocation policy
-            # state, write-through L0X reads L1X write epochs with no
-            # state diff to sign, and a strategy-pinned lease is not
-            # what the recording adapter keys on — decline the rung.
-            return None
-        return AccTileReplayAdapter(system)
 
 
 class StrategyBinder:

@@ -30,50 +30,6 @@ per-event path exactly.
 from collections import defaultdict
 
 
-class PjTrace:
-    """A delta recording of every ``*_pj`` increment on a registry.
-
-    The invocation replay cache (``repro.accel.replay``) needs to re-run
-    an invocation's energy accumulation *term by term* from a different
-    starting value, because ``*_pj`` amounts are not dyadic and float
-    rounding depends on the running value.  While a trace is active
-    (:meth:`StatsRegistry.begin_pj_trace`), every energy mutation — bound
-    handles, :meth:`~StatsRegistry.add`, and all three flusher kinds —
-    appends to the trace in program order, compressed at flush
-    granularity into per-name ``(amounts, repeat)`` blocks (the same
-    shape :func:`compile_event_sequence` produces), so replaying costs
-    one inner loop per *flush call* rather than per op.
-
-    Non-additive mutations (:meth:`~StatsRegistry.set`,
-    :meth:`~StatsRegistry.merge`, :meth:`~StatsRegistry.clear`) poison
-    the trace: a poisoned trace cannot be replayed and the recording is
-    discarded.
-    """
-
-    __slots__ = ("blocks", "poisoned")
-
-    def __init__(self):
-        self.blocks = {}        # name -> [[amounts tuple, repeat], ...]
-        self.poisoned = False
-
-    def record(self, name, amounts, repeat):
-        blocks = self.blocks.get(name)
-        if blocks is None:
-            self.blocks[name] = [[amounts, repeat]]
-            return
-        last = blocks[-1]
-        if last[0] == amounts:
-            last[1] += repeat
-        else:
-            blocks.append([amounts, repeat])
-
-    def program(self):
-        """Freeze the trace into an immutable replay program."""
-        return tuple((name, tuple((amounts, repeat)
-                                  for amounts, repeat in blocks))
-                     for name, blocks in self.blocks.items())
-
-
 def compile_event_sequence(events):
     """Compile a program-ordered event sequence into a flush *program*.
 
@@ -170,36 +126,10 @@ class StatsRegistry:
 
     def __init__(self):
         self._counters = defaultdict(float)
-        # One-element cell holding the active PjTrace (or None).  The
-        # cell object is closed over by bound handles and flushers, so
-        # begin/end never invalidates existing handles; the common
-        # (no-trace) case costs one list index + None test, and only on
-        # ``*_pj`` paths.
-        self._pj_trace_cell = [None]
-
-    def begin_pj_trace(self):
-        """Start recording ``*_pj`` increments; returns the live trace.
-
-        Only one trace can be active at a time; beginning a new one
-        replaces (and implicitly abandons) the old.
-        """
-        trace = PjTrace()
-        self._pj_trace_cell[0] = trace
-        return trace
-
-    def end_pj_trace(self):
-        """Stop recording and return the finished trace (or ``None``)."""
-        trace = self._pj_trace_cell[0]
-        self._pj_trace_cell[0] = None
-        return trace
 
     def add(self, name, amount=1):
         """Increment counter ``name`` by ``amount``."""
         self._counters[name] += amount
-        if name.endswith("_pj"):
-            trace = self._pj_trace_cell[0]
-            if trace is not None:
-                trace.record(name, (amount,), 1)
 
     def counter(self, name):
         """Return a bound increment handle for counter ``name``.
@@ -211,17 +141,8 @@ class StatsRegistry:
         """
         counters = self._counters
 
-        if name.endswith("_pj"):
-            trace_cell = self._pj_trace_cell
-
-            def handle(amount=1):
-                counters[name] += amount
-                trace = trace_cell[0]
-                if trace is not None:
-                    trace.record(name, (amount,), 1)
-        else:
-            def handle(amount=1):
-                counters[name] += amount
+        def handle(amount=1):
+            counters[name] += amount
 
         handle.counter_name = name
         return handle
@@ -258,15 +179,8 @@ class StatsRegistry:
         single_items = collapsed_items + [
             (name, amount) for name, amounts in replayed
             for amount in amounts]
-        traced = [(name, tuple(amounts)) for name, amounts in replayed]
-        trace_cell = self._pj_trace_cell
 
         def flush(count=1):
-            if traced:
-                trace = trace_cell[0]
-                if trace is not None:
-                    for name, amounts in traced:
-                        trace.record(name, amounts, count)
             if count == 1:
                 for name, amount in single_items:
                     counters[name] += amount
@@ -314,15 +228,8 @@ class StatsRegistry:
         if program is None:
             program = compile_event_sequence(events)
         collapsed_items, replay_items = program
-        trace_cell = self._pj_trace_cell
 
         def flush():
-            if replay_items:
-                trace = trace_cell[0]
-                if trace is not None:
-                    for name, blocks in replay_items:
-                        for amounts, repeat in blocks:
-                            trace.record(name, amounts, repeat)
             for name, amount in collapsed_items:
                 counters[name] += amount
             for name, blocks in replay_items:
@@ -354,18 +261,8 @@ class StatsRegistry:
         """
         counters = self._counters
         collapsed_items, pj_items = program
-        trace_cell = self._pj_trace_cell
 
         def flush():
-            if pj_items:
-                trace = trace_cell[0]
-                if trace is not None:
-                    for name, load_amounts, store_amounts in pj_items:
-                        for is_store, count in event_seq:
-                            amounts = (store_amounts if is_store
-                                       else load_amounts)
-                            if amounts:
-                                trace.record(name, amounts, count)
             for name, amount in collapsed_items:
                 counters[name] += amount
             for name, load_amounts, store_amounts in pj_items:
@@ -404,9 +301,6 @@ class StatsRegistry:
     def set(self, name, value):
         """Set counter ``name`` to ``value`` (used for gauges)."""
         self._counters[name] = value
-        trace = self._pj_trace_cell[0]
-        if trace is not None:
-            trace.poisoned = True
 
     def scope(self, prefix):
         """Return a :class:`StatsScope` that prefixes all counter names."""
@@ -434,47 +328,10 @@ class StatsRegistry:
 
     def merge(self, other):
         """Add every counter of ``other`` (registry or dict) into this one."""
-        trace = self._pj_trace_cell[0]
-        if trace is not None:
-            trace.poisoned = True
         items = other.snapshot().items() if isinstance(
             other, StatsRegistry) else other.items()
         for name, value in items:
             self._counters[name] += value
-
-    def bulk_add(self, items):
-        """Add ``(name, amount)`` deltas in order (replay fast path).
-
-        Exact for the dyadic amounts the simulator feeds non-``_pj``
-        counters; callers must not route energy deltas through this —
-        use :meth:`replay_pj` so float rounding follows the recorded
-        term order.
-        """
-        counters = self._counters
-        for name, amount in items:
-            counters[name] += amount
-
-    def replay_pj(self, program):
-        """Replay a frozen :meth:`PjTrace.program` term by term.
-
-        Per name, the running value accumulates every recorded amount in
-        the original program order starting from the counter's *current*
-        value — bit-identical to re-running the recorded invocation's
-        energy adds against this registry.
-        """
-        counters = self._counters
-        for name, blocks in program:
-            value = counters[name]
-            for amounts, repeat in blocks:
-                if len(amounts) == 1:
-                    amount = amounts[0]
-                    for _ in range(repeat):
-                        value += amount
-                else:
-                    for _ in range(repeat):
-                        for amount in amounts:
-                            value += amount
-            counters[name] = value
 
     def total(self, prefix):
         """Sum of the ``prefix`` counter itself plus every counter under
@@ -503,9 +360,6 @@ class StatsRegistry:
     def clear(self):
         # In-place clear: bound counter handles keep referencing the
         # live map and stay valid.
-        trace = self._pj_trace_cell[0]
-        if trace is not None:
-            trace.poisoned = True
         self._counters.clear()
 
     def __contains__(self, name):

@@ -158,38 +158,6 @@ class SetAssocCache:
     def occupancy(self):
         return self._occupancy
 
-    # -- replay capture ---------------------------------------------------
-
-    def set_index_of(self, addr):
-        """Return the set index ``addr`` maps to (replay footprints)."""
-        return (addr >> self._set_shift) & self._set_mask
-
-    def capture_sets(self, set_indices=None):
-        """Raw state snapshot for the invocation replay cache.
-
-        Returns ``(use_clock, [(set_index, entries), ...])`` where each
-        entry is a ``(line, block, pid, state, dirty, lease, gtime,
-        write_epoch_end, paddr, last_use)`` tuple captured *in per-set
-        dict order* — the order :meth:`lines` (and therefore
-        ``dirty_lines``/flush walks) observe, which the replay guard
-        must pin exactly.  ``set_indices=None`` captures every non-empty
-        set (recording); a recording's frozen index list captures just
-        its footprint (probing).  The live line object rides along so
-        the diff pass can tell survivors from re-installs.
-        """
-        if set_indices is None:
-            selected = [(index, cache_set) for index, cache_set
-                        in enumerate(self._sets) if cache_set]
-        else:
-            sets = self._sets
-            selected = [(index, sets[index]) for index in set_indices]
-        return (self._use_clock, [
-            (index, [(line, line.block, line.pid, line.state, line.dirty,
-                      line.lease, line.gtime, line.write_epoch_end,
-                      line.paddr, line.last_use)
-                     for line in cache_set.values()])
-            for index, cache_set in selected])
-
     # -- mutation ---------------------------------------------------------
 
     def insert(self, addr, **line_fields):

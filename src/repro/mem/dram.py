@@ -20,10 +20,6 @@ class MainMemory:
         self.config = config
         self.stats = stats.scope("dram")
         self._open_rows = {}
-        #: Monotonic version for the invocation replay cache: any access
-        #: may move the open-row state (latency-affecting), so replay
-        #: guards require the version untouched since recording.
-        self.version = 0
 
     def _channel_of(self, block):
         return (block // self.config.page_size) % self.config.channels
@@ -34,7 +30,6 @@ class MainMemory:
     def access(self, addr, is_store=False):
         """Access one line; return latency in cycles and record stats."""
         block = block_address(addr)
-        self.version += 1
         channel = self._channel_of(block)
         row = self._row_of(block)
         if self._open_rows.get(channel) == row:
@@ -53,5 +48,4 @@ class MainMemory:
         return latency
 
     def reset(self):
-        self.version += 1
         self._open_rows.clear()

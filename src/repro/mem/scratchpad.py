@@ -92,19 +92,6 @@ class Scratchpad:
         self._blocks.clear()
         return dirty
 
-    # -- invocation replay surface (repro.accel.replay) ----------------------
-
-    def state_signature(self):
-        """Replay-guard signature: the resident block/dirty map.
-
-        SCRATCH invocations start and end at drained (empty) scratchpads,
-        so the guard only accepts a falsy signature.
-        """
-        return tuple(self._blocks.items())
-
-    def apply_transform(self, transform, t0):
-        """No-op: a guardable invocation leaves the scratchpad empty."""
-
     def __repr__(self):
         return "Scratchpad({}, {}/{} blocks)".format(
             self.name, self.occupancy, self.capacity_blocks)

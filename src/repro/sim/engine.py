@@ -1310,15 +1310,10 @@ class ExecutionEngine:
         """
         if not self.cache.enabled:
             return
-        from ..accel.replay import telemetry_snapshot
         payload = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "updated_unix": time.time(),
             "telemetry": self.telemetry.snapshot(),
-            # Process-local replay-rung counters: only in-process
-            # (serial) simulations contribute; pool workers keep their
-            # own mirrors, so this is a floor, not a census.
-            "replay": telemetry_snapshot(),
         }
         path = self._stats_path()
         try:

@@ -15,7 +15,6 @@ data: DMA-ed back to the L2, or forwarded out of the tile).
 
 import abc
 
-from ..accel import replay as replay_mod
 from ..common.stats import StatsRegistry
 from ..coherence.mesi import HostMemorySystem
 from ..host.core import HostCore
@@ -39,7 +38,6 @@ class BaseSystem(abc.ABC):
         self.host_core = HostCore(config, self.host_mem, self.page_table,
                                   self.stats)
         self.mlp_of = function_mlp(workload)
-        self.replay_engine = None
         self._build()
 
     @abc.abstractmethod
@@ -60,20 +58,12 @@ class BaseSystem(abc.ABC):
             now = self.host_core.produce(base, size, now)
         produce_snapshot = self.stats.snapshot()
         accel_start = now
-        engine = self._make_replay_engine()
-        self.replay_engine = engine
-        if engine is not None:
-            # Top rung of the fallback ladder: serve whole invocations
-            # from the guarded replay cache (docs/simulator.md §11).
-            for index, trace in enumerate(self.workload.invocations):
-                now = engine.run_invocation(index, trace, now)
-        else:
-            for index, trace in enumerate(self.workload.invocations):
-                per_invocation_start = self.stats.snapshot()
-                end = self._run_invocation(index, trace, now)
-                self._record_invocation(index, trace, end - now,
-                                        per_invocation_start)
-                now = end
+        for index, trace in enumerate(self.workload.invocations):
+            per_invocation_start = self.stats.snapshot()
+            end = self._run_invocation(index, trace, now)
+            self._record_invocation(index, trace, end - now,
+                                    per_invocation_start)
+            now = end
         accel_cycles = now - accel_start
         for base, size in self.workload.host_output_arrays:
             now = self.host_core.consume(base, size, now)
@@ -89,25 +79,6 @@ class BaseSystem(abc.ABC):
         self.stats.add("invocation.{}.cycles".format(trace.name), cycles)
         self.stats.add("invocation.{}.energy_pj".format(trace.name), energy)
         self.stats.add("invocation.{}.count".format(trace.name))
-
-    # -- invocation replay (top fallback-ladder rung) --------------------------
-
-    def _replay_adapter(self):
-        """Return the system's replay guard adapter, or ``None``.
-
-        ``None`` (the default) opts the system out of the invocation
-        replay rung entirely; subclasses override to supply an adapter
-        when their configuration is guardable.
-        """
-        return None
-
-    def _make_replay_engine(self):
-        if not replay_mod.REPLAY_INVOCATIONS:
-            return None
-        adapter = self._replay_adapter()
-        if adapter is None:
-            return None
-        return replay_mod.InvocationReplayEngine(self, adapter)
 
     # -- helpers for subclasses ------------------------------------------------
 

@@ -24,8 +24,3 @@ class FusionSystem(StrategyPresetSystem):
 
     def _mirror(self, bound):
         self.tile = bound.tile
-
-    def _forward_plan_for(self, index):
-        """Forward plan of invocation ``index`` (None for FUSION proper;
-        the replay adapter keys its recordings on this)."""
-        return self._bound.forward_plan_for(self._strategy, index)

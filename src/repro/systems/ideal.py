@@ -10,7 +10,6 @@ ablation).
 """
 
 from ..accel.core import AxcCore
-from ..accel.replay import IdealReplayAdapter
 from .base import BaseSystem
 
 
@@ -34,9 +33,6 @@ class IdealSystem(BaseSystem):
     @staticmethod
     def _free_phase_quote(phase, now, horizon, interval):
         return 1, 1
-
-    def _replay_adapter(self):
-        return IdealReplayAdapter(self)
 
     def _run_invocation(self, index, trace, now):
         core = self.cores[self._axc_of(trace)]

@@ -19,8 +19,6 @@ Telemetry-recording runs additionally publish per-invocation cycle
 counters (``policy.inv.<index>.cycles``) and per-strategy invocation
 counts (``policy.strategy.<key>.invocations``) so the oracle evaluator
 can read per-invocation costs out of cached :class:`RunResult` stats.
-The system opts out of the invocation-replay ladder rung: selection is
-cross-invocation state the replay guard does not sign.
 """
 
 from ..coherence.lease_policy import CountingLeasePolicy

@@ -26,10 +26,7 @@ class StrategyPresetSystem(BaseSystem):
 
     def _mirror(self, bound):
         """Expose the bound machinery under the legacy attribute names
-        (replay adapters, subclasses, and tests reach for them)."""
-
-    def _replay_adapter(self):
-        return self._bound.replay_adapter(self, self._strategy)
+        (subclasses and tests reach for them)."""
 
     def _run_invocation(self, index, trace, now):
         return self._bound.run(self._strategy, index, trace, now,

@@ -26,4 +26,3 @@ class ScratchSystem(StrategyPresetSystem):
         self.access_models = bound.access_models
         self.cores = bound.cores
         self.dma = bound.dma
-        self._capacity = bound.capacity

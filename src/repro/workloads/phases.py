@@ -390,7 +390,7 @@ def single_run_phase(op, count):
     return build_phase([(op, op.block, count)])
 
 
-def compile_plan(lowered, lease_time=None):
+def compile_plan(lowered):
     """Partition a lowered step stream into a :class:`PhasePlan`.
 
     Compile-time eligibility is *structural* (what can be proven from
@@ -404,21 +404,11 @@ def compile_plan(lowered, lease_time=None):
       step — it must upgrade (acquire a write epoch) under ACC;
     * subclassed op types always take the per-op path (unknown
       side effects), exactly as lowering never coalesces them;
-    * phases are capped at :data:`MAX_UNLEASED_PHASE_MEM_OPS` ops, and
-      — when ``lease_time`` is given — at :data:`MAX_PHASE_MEM_OPS`
-      plus an estimated span of an eighth of the lease: the shorter
-      the window, the larger the fraction of a line's lease period
-      during which ACC's cover guard can say yes (:func:`phase_plan`
-      derives that variant from the structural one via
-      :func:`_slice_leased` instead of re-scanning);
+    * phases are capped at :data:`MAX_UNLEASED_PHASE_MEM_OPS` ops
+      (:func:`_slice_leased` derives the lease-capped variant);
     * candidate windows shorter than :data:`MIN_PHASE_MEM_OPS` mem ops
       are folded back into the surrounding fallback gap.
     """
-    span_cap = None
-    max_ops = MAX_UNLEASED_PHASE_MEM_OPS
-    if lease_time:
-        span_cap = max(MIN_PHASE_MEM_OPS * 4, lease_time // 8)
-        max_ops = MAX_PHASE_MEM_OPS
     entries = []
     num_phases = 0
     phase_ops = 0
@@ -427,7 +417,6 @@ def compile_plan(lowered, lease_time=None):
     # derives, filled in the one pass that decides eligibility so a
     # closing window constructs its Phase without re-walking its steps.
     current = []
-    current_span = 0
     cur_mem_ops = 0
     cur_compute = 0
     cur_loads = 0
@@ -439,9 +428,9 @@ def compile_plan(lowered, lease_time=None):
     written = set()
 
     def close_current():
-        nonlocal current, current_span, cur_mem_ops, cur_compute, \
-            cur_loads, cur_stores, cur_events, cur_info, cur_order, \
-            num_phases, phase_ops
+        nonlocal current, cur_mem_ops, cur_compute, cur_loads, \
+            cur_stores, cur_events, cur_info, cur_order, num_phases, \
+            phase_ops
         if cur_mem_ops >= MIN_PHASE_MEM_OPS:
             if fallback:
                 entries.append((None, tuple(fallback)))
@@ -461,7 +450,6 @@ def compile_plan(lowered, lease_time=None):
         elif current:
             fallback.extend(current)
         current = []
-        current_span = 0
         cur_mem_ops = 0
         cur_compute = 0
         cur_loads = 0
@@ -473,14 +461,9 @@ def compile_plan(lowered, lease_time=None):
     for step in lowered.steps:
         op, arg, count = step
         if op is None:
-            # Fused compute: always eligible; only its span can close
-            # the window.
-            if cur_mem_ops and span_cap is not None \
-                    and current_span + arg > span_cap:
-                close_current()
+            # Fused compute: always eligible, never closes the window.
             current.append(step)
             cur_compute += arg
-            current_span += arg
             continue
         if type(op) is MemOp:
             block = arg
@@ -504,15 +487,11 @@ def compile_plan(lowered, lease_time=None):
             close_current()
             fallback.append(step)
             continue
-        span = 2 * count
-        if cur_mem_ops and (
-                cur_mem_ops + count > max_ops
-                or (span_cap is not None
-                    and current_span + span > span_cap)):
+        if cur_mem_ops and \
+                cur_mem_ops + count > MAX_UNLEASED_PHASE_MEM_OPS:
             close_current()
         current.append(step)
         cur_mem_ops += count
-        current_span += span
         if is_store:
             cur_stores += count
         else:

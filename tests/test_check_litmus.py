@@ -20,7 +20,7 @@ def test_litmus_outcomes_match_legal_set(test):
 def test_suite_covers_the_paper_shapes():
     assert set(LITMUS_BY_NAME) == {
         "message-passing", "ping-pong", "producer-consumer",
-        "lease-expiry-race", "phase-boundary", "replay-window"}
+        "lease-expiry-race", "phase-boundary"}
 
 
 def test_outcome_formatting():
@@ -51,32 +51,6 @@ def test_forward_mutation_breaks_producer_consumer():
     # with the litmus result.
     assert result.violations
     assert result.violations[0].invariant in ("swmr", "conservation")
-
-
-def test_replay_mutation_breaks_replay_window():
-    """A guard matching under a dead epoch is caught by the replay
-    rung's shadow per-op check, not by outcome divergence alone."""
-    test = LITMUS_BY_NAME["replay-window"]
-    result = run_litmus(test,
-                        mutation=MUTATIONS["stale-replay-fingerprint"])
-    assert not result.ok
-    assert result.violations
-    assert result.violations[0].invariant == "stale-epoch-use"
-
-
-def test_replay_window_outcomes_are_monotone():
-    """The checked legal set itself encodes the rung's contract: no
-    replayed window resurrects ``init`` after an earlier observation
-    saw the host's store."""
-    test = LITMUS_BY_NAME["replay-window"]
-    for outcome in test.legal:
-        seen_store = False
-        for seq in (1, 2, 3, 4):
-            entry = next(o for o in outcome
-                         if o.startswith("axc0#{}".format(seq)))
-            if seen_store:
-                assert entry.endswith("host.w1")
-            seen_store = seen_store or entry.endswith("host.w1")
 
 
 def test_lease_expiry_never_reserves_expired_epoch():

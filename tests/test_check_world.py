@@ -21,44 +21,10 @@ def run_to_completion(scenario):
 
 @pytest.mark.parametrize("name", ["acc-two-writers", "acc-host-mix",
                                   "shared-race", "dx-forward",
-                                  "dx-expired-forward",
-                                  "acc-replay-epoch"])
+                                  "dx-expired-forward"])
 def test_round_robin_run_is_clean(name):
     _, violations, _ = run_to_completion(by_name(name))
     assert violations == []
-
-
-def test_invoke_records_then_replays_then_declines():
-    """Anti-vacuity for the checker's replay rung: a repeated invoke
-    key records on its first clean occurrence, the second occurrence
-    is served by the guard, and a post-expiry occurrence declines —
-    all without violations and with one observation per window."""
-    scenario = Scenario(
-        name="unit-invoke", kind="acc", lease=5000,
-        agents=(Agent("axc", (("load", 0),
-                              ("invoke", "load", 0, 3),
-                              ("invoke", "load", 0, 3),
-                              ("advance", 6000),
-                              ("invoke", "load", 0, 3))),))
-    world = build_world(scenario)
-    hits = [0]
-    real = world._replay_match
-    def counting(ordinal, recording, now):
-        matched = real(ordinal, recording, now)
-        hits[0] += bool(matched)
-        return matched
-    world._replay_match = counting
-    violations = []
-    while not world.done():
-        violations.extend(world.step(0))
-    violations.extend(world.finalize())
-    assert violations == []
-    assert list(world._replay_store) == [(0, "load", 0, 3)]
-    assert hits[0] == 1       # second window replayed, third declined
-    assert [obs[3] for obs in world.observations] == ["init"] * 4
-    # All ten issued ops (1 warm load + 3 windows x 3) are accounted
-    # for, replayed or expanded alike.
-    assert world.issued == [10]
 
 
 def test_tiny_config_is_actually_tiny():

@@ -14,7 +14,9 @@ stretches of re-touched lines) *and* its guards: kind changes mid
 stretch, cross-line churn through the tiny L0X, compute interleave, and
 — adversarially — lease times so short that leases expire mid-phase,
 forcing ACC's cover guard to decline every quote and drop the whole
-stream down the ladder.
+stream down the ladder.  A wider block pool whose runs crowd one L0X
+set, with every function invoked several times round-robin, evicts L0X
+lines under pressure.
 """
 
 from hypothesis import given, note, settings
@@ -24,6 +26,7 @@ import repro.accel.core as core_mod
 from repro.common.config import small_config
 from repro.common.types import AccessType, ComputeOp, FunctionTrace, \
     MemOp, WorkloadTrace
+from repro.mem.cache import SetAssocCache
 from repro.systems import SYSTEMS
 from repro.systems.multitenant import MultiTenantFusionSystem
 
@@ -48,6 +51,26 @@ workloads = st.lists(
 #: lease-capped plan slicer's span cap) into its decline branches.
 lease_times = st.sampled_from([1, 3, 7, 30, 250])
 
+#: Block pool spanning more lines than the small config's 64-line L0X
+#: (16 sets x 4 ways).  Pressure runs touch every sixteenth block, so
+#: their 6 lines share one 4-way set and evict each other.
+PRESSURE_BLOCKS = 96
+PRESSURE_STRIDE = 16
+
+pressure_segment = st.tuples(
+    st.integers(0, PRESSURE_BLOCKS // PRESSURE_STRIDE - 1).map(
+        lambda index: index * PRESSURE_STRIDE),
+    st.booleans(),
+    st.integers(1, 12),
+)
+pressure_workloads = st.lists(
+    st.tuples(st.integers(0, 2),
+              st.lists(st.one_of(pressure_segment, compute_segment),
+                       min_size=12, max_size=24)),
+    min_size=1, max_size=3)
+
+iteration_counts = st.integers(3, 6)
+
 BASE = 0x10000
 
 
@@ -64,14 +87,16 @@ def _expand(segs):
     return ops
 
 
-def build(spec, lease_time=250):
-    invocations = [
+def build(spec, lease_time=250, num_blocks=16, iterations=1):
+    functions = [
         FunctionTrace(name="fn{}".format(tag), benchmark="prop",
                       ops=_expand(segs), lease_time=lease_time)
         for tag, segs in spec
         if _expand(segs)
     ]
-    size = 16 * 64
+    # Round-robin repetition, like the paper's streaming pipelines.
+    invocations = [trace for _ in range(iterations) for trace in functions]
+    size = num_blocks * 64
     return WorkloadTrace(
         benchmark="prop", invocations=invocations,
         host_input_arrays=[(BASE, size)],
@@ -150,3 +175,41 @@ def test_multitenant_bit_identical(spec_a, spec_b):
         lambda: MultiTenantFusionSystem(small_config(), tenants))
     assert fingerprint(phased) == fingerprint(fallback), \
         "phase engine changed multi-tenant results"
+
+
+@given(pressure_workloads, iteration_counts)
+@settings(max_examples=10, deadline=None)
+def test_eviction_under_pressure_stays_bit_identical(spec, iterations):
+    """A pool wider than the L0X, invoked round-robin several times:
+    lines evicted between repeated invocations must make the guard
+    decline, never serve a stale hit."""
+    note("workload spec: {!r} x{}".format(spec, iterations))
+    workload = build(spec, num_blocks=PRESSURE_BLOCKS,
+                     iterations=iterations)
+    if not workload.invocations:
+        return
+    for name in ("FUSION", "FUSION-Dx", "SCRATCH"):
+        system_cls = SYSTEMS[name]
+        phased, fallback = run_both_paths(
+            lambda: system_cls(small_config(), workload))
+        assert fingerprint(phased) == fingerprint(fallback), \
+            "phase engine changed {} results under pressure".format(name)
+
+
+def test_pressure_pool_evicts_l0x_lines(monkeypatch):
+    """Anti-vacuity: the pressure shape really evicts L0X lines."""
+    victims = []
+    install = SetAssocCache.install
+
+    def counting(self, addr, **fields):
+        line, victim = install(self, addr, **fields)
+        if victim is not None and self.name.startswith("l0x"):
+            victims.append(victim.block)
+        return line, victim
+
+    monkeypatch.setattr(SetAssocCache, "install", counting)
+    segs = [(index, index % 3 == 0, 4)
+            for index in range(0, PRESSURE_BLOCKS, PRESSURE_STRIDE)]
+    workload = build([(0, segs)], num_blocks=PRESSURE_BLOCKS, iterations=3)
+    SYSTEMS["FUSION"](small_config(), workload).run()
+    assert victims
