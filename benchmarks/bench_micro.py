@@ -84,91 +84,15 @@ def test_micro_lowered_matches_legacy():
     assert lowered_end == legacy_end
 
 
-def _warm_run_setup():
-    """Warm ACC stack + run-heavy trace for the coalescing pair."""
+def test_micro_acc_run_per_op(benchmark):
+    """Ops/sec expanding every access-run op through a warm ACC L0X."""
     trace = perf_smoke.make_run_trace()
     core = AxcCore(0, StatsRegistry())
     l0x = perf_smoke.build_acc_l0x()
-    l0x.invocation_lease = lease = trace.lease_time
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
+    l0x.invocation_lease = trace.lease_time
     core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    return trace, core, l0x, access_run
-
-
-def test_micro_acc_run_per_op(benchmark):
-    """Ops/sec expanding every access-run op through the L0X protocol."""
-    trace, core, l0x, _ = _warm_run_setup()
 
     benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4))
-
-
-def test_micro_acc_run_coalesced(benchmark):
-    """Ops/sec with ``access_run`` serving each steady-state run in one
-    protocol step (the run-coalescing fast path)."""
-    trace, core, l0x, access_run = _warm_run_setup()
-
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
-                               access_run=access_run))
-
-
-def test_micro_run_coalesced_matches_per_op():
-    """Semantics gate: both protocol paths end at the same cycle."""
-    trace, core, l0x, access_run = _warm_run_setup()
-    per_op_end = core.run(trace, 0, l0x.access, mlp=4)
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
-    assert coalesced_end == per_op_end
-
-
-def test_micro_acc_phase_steady(benchmark):
-    """Ops/sec with ``phase_quote`` serving whole lease-stable windows
-    in one protocol step (the steady-state phase engine — top rung of
-    the fallback ladder above the coalesced-run path)."""
-    trace, core, l0x, access_run = _warm_run_setup()
-
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
-                               access_run=access_run,
-                               phase_quote=l0x.phase_quote))
-
-
-def test_micro_phase_matches_coalesced():
-    """Semantics gate: the phase path and the coalesced-run path end at
-    the same cycle (bit-identity across all counters is the property
-    suite's job — ``tests/test_property_phases.py``)."""
-    trace, core, l0x, access_run = _warm_run_setup()
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
-    assert phased_end == coalesced_end
-
-
-def _warm_window_setup():
-    """Warm ACC stack + a long steady-state trace whose phase plan is
-    one long run of consecutive phases."""
-    trace = perf_smoke.make_run_trace(num_runs=2048)
-    core = AxcCore(0, StatsRegistry())
-    l0x = perf_smoke.build_acc_l0x()
-    l0x.invocation_lease = lease = trace.lease_time
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    return trace, core, l0x, access_run
-
-
-def test_micro_acc_windows_phased(benchmark):
-    """Ops/sec serving the long window one ``phase_quote`` at a time."""
-    trace, core, l0x, access_run = _warm_window_setup()
-
-    benchmark(lambda: core.run(trace, 0, l0x.access, mlp=4,
-                               access_run=access_run,
-                               phase_quote=l0x.phase_quote))
 
 
 @functools.lru_cache(maxsize=1)
@@ -187,9 +111,8 @@ def _run_fusion(workload):
     return SYSTEMS["FUSION"](small_config(), workload).run()
 
 
-def test_micro_fusion_fft_phased(benchmark):
-    """Whole-system wall time of the iterated FFT on FUSION, served by
-    the steady-phase path (the top rung of the fallback ladder)."""
+def test_micro_fusion_fft(benchmark):
+    """Whole-system wall time of the iterated FFT on FUSION."""
     workload = _iterated_fft_workload()
     _run_fusion(workload)  # warm the lowering/DMA trace caches
 

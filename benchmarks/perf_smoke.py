@@ -12,16 +12,12 @@ ways:
 * **lowered** — the production :meth:`repro.accel.core.AxcCore.run`
   over the compiled stream.
 
-It also measures the run-coalescing fast path the same way: a
-run-heavy synthetic invocation driven through a real ACC L0X/L1X
-protocol stack once op-by-op and once with the controller's
-``access_run`` entry point wired in, and the steady-state phase path
-over coalesced serving.  The last pair is not a ladder rung but the
-prepared-trace load: a bare ``pickle.loads`` of a small-size trace with
-the collector off against ``prepared_workload`` reading the same entry,
-which must keep the cyclic collector off the new trace heap.
+It also measures the prepared-trace load: a bare ``pickle.loads`` of a
+small-size trace with the collector off against ``prepared_workload``
+reading the same entry, which must keep the cyclic collector off the
+new trace heap.
 
-Each simulation pair must produce the *same end time* (semantics
+The simulation pair must produce the *same end time* (semantics
 check), and each fast/slow ratio must stay within ``TOLERANCE`` of the
 committed baseline (``benchmarks/results/perf_baseline.json``).
 Comparing *ratios* rather than absolute ops/sec keeps the gate
@@ -203,105 +199,6 @@ def run_measurement():
     }
 
 
-def run_coalesce_measurement():
-    """Measure per-op vs run-coalesced protocol serving; returns the
-    metrics dict.
-
-    The same run-heavy trace is driven through a warm ACC L0X twice per
-    repeat: once expanding every op through ``AccL0XController.access``
-    and once with ``access_run`` wired into the core, which serves each
-    steady-state run in one protocol step.  Both paths must end at the
-    same cycle — the run-coalescing layer's bit-identity claim, pinned
-    exhaustively by ``tests/test_golden_full.py`` and
-    ``tests/test_property_coalesce.py``.
-    """
-    trace = make_run_trace()
-    total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
-    core = AxcCore(0, StatsRegistry())
-    l0x = build_acc_l0x()
-    lease = trace.lease_time
-    l0x.invocation_lease = lease
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    # Warm the L0X (install every line) so both timed paths run in the
-    # steady state the fast path targets; then check semantics.
-    core.run(trace, 0, l0x.access, mlp=4)
-    per_op_end = core.run(trace, 0, l0x.access, mlp=4)
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
-    if per_op_end != coalesced_end:
-        raise AssertionError(
-            "semantics drift: per-op end {} != coalesced end {}".format(
-                per_op_end, coalesced_end))
-
-    per_op_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4))
-    coalesced_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run))
-    per_op_ops = total_mem_ops / per_op_s
-    coalesced_ops = total_mem_ops / coalesced_s
-    return {
-        "mem_ops": total_mem_ops,
-        "run_length": 8,
-        "per_op_ops_per_s": round(per_op_ops),
-        "coalesced_ops_per_s": round(coalesced_ops),
-        "speedup": round(coalesced_ops / per_op_ops, 3),
-    }
-
-
-def run_phase_measurement():
-    """Measure run-coalesced vs steady-phase protocol serving; returns
-    the metrics dict.
-
-    The next rung of the fallback ladder above run coalescing: the same
-    warm run-heavy trace, once with ``access_run`` alone and once with
-    ``phase_quote`` also wired in, so lease-stable windows collapse to
-    one guard check, one ledger flush and one closed-form timeline
-    application.  Both paths must end at the same cycle — bit-identity
-    across every counter is pinned by
-    ``tests/test_property_phases.py``.
-    """
-    trace = make_run_trace()
-    total_mem_ops = sum(1 for op in trace.ops if isinstance(op, MemOp))
-    core = AxcCore(0, StatsRegistry())
-    l0x = build_acc_l0x()
-    lease = trace.lease_time
-    l0x.invocation_lease = lease
-
-    def access_run(op, count, now, horizon, interval):
-        return l0x.access_run(op, count, now, horizon, interval, lease)
-
-    core.run(trace, 0, l0x.access, mlp=4)  # install every line
-    coalesced_end = core.run(trace, 0, l0x.access, mlp=4,
-                             access_run=access_run)
-    phased_end = core.run(trace, 0, l0x.access, mlp=4,
-                          access_run=access_run,
-                          phase_quote=l0x.phase_quote)
-    if phased_end != coalesced_end:
-        raise AssertionError(
-            "semantics drift: coalesced end {} != phased end {}".format(
-                coalesced_end, phased_end))
-
-    coalesced_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run))
-    phased_s = _best_seconds(
-        lambda: core.run(trace, 0, l0x.access, mlp=4,
-                         access_run=access_run,
-                         phase_quote=l0x.phase_quote))
-    coalesced_ops = total_mem_ops / coalesced_s
-    phased_ops = total_mem_ops / phased_s
-    return {
-        "mem_ops": total_mem_ops,
-        "coalesced_ops_per_s": round(coalesced_ops),
-        "phased_ops_per_s": round(phased_ops),
-        "speedup": round(phased_ops / coalesced_ops, 3),
-    }
-
-
 def run_trace_load_measurement(benchmark="histogram", size="small",
                                repeats=REPEATS):
     """Measure a prepared-trace load against a bare unpickle; returns
@@ -366,16 +263,6 @@ def main(argv=None):
     print("legacy : {legacy_ops_per_s:>10,} ops/s".format(**metrics))
     print("lowered: {lowered_ops_per_s:>10,} ops/s".format(**metrics))
     print("speedup: {speedup:.2f}x (lowered over legacy)".format(**metrics))
-    coalesce = run_coalesce_measurement()
-    print("per-op   : {per_op_ops_per_s:>10,} ops/s".format(**coalesce))
-    print("coalesced: {coalesced_ops_per_s:>10,} ops/s".format(**coalesce))
-    print("speedup: {speedup:.2f}x (coalesced over per-op protocol "
-          "serving)".format(**coalesce))
-    phases = run_phase_measurement()
-    print("coalesced: {coalesced_ops_per_s:>10,} ops/s".format(**phases))
-    print("phased   : {phased_ops_per_s:>10,} ops/s".format(**phases))
-    print("speedup: {speedup:.2f}x (steady phases over coalesced "
-          "serving)".format(**phases))
     trace_load = run_trace_load_measurement()
     print("unpickle : {unpickle_s:>10.3f} s ({benchmark} {size}, {trace_mb} "
           "MB, collector off)".format(**trace_load))
@@ -389,17 +276,14 @@ def main(argv=None):
             "_provenance": (
                 "Recorded by `PYTHONPATH=src python benchmarks/"
                 "perf_smoke.py --write-baseline` ({}).  CI gates only "
-                "the machine-independent speedup *ratios* "
-                "(micro.speedup, run_coalesce.speedup, "
-                "steady_phases.speedup); wall-clock comparisons are "
+                "the machine-independent ratios (micro.speedup, "
+                "trace_load.ratio); wall-clock comparisons are "
                 "only meaningful interleaved on one machine state.  "
                 "trace_load.ratio "
                 "is a bare collector-off unpickle of a small-size trace "
                 "over prepared_workload loading it, interleaved "
                 "best-of-N.".format(time.strftime("%Y-%m-%d"))),
             "micro": metrics,
-            "run_coalesce": coalesce,
-            "steady_phases": phases,
             "trace_load": trace_load,
             "tolerance": TOLERANCE,
         }
@@ -418,13 +302,6 @@ def main(argv=None):
     failed = False
     gates = [("lowered hot path", baseline["micro"]["speedup"],
               metrics["speedup"])]
-    if "run_coalesce" in baseline:
-        gates.append(("run coalescing", baseline["run_coalesce"]["speedup"],
-                      coalesce["speedup"]))
-    if "steady_phases" in baseline:
-        gates.append(("steady phases",
-                      baseline["steady_phases"]["speedup"],
-                      phases["speedup"]))
     if "trace_load" in baseline:
         gates.append(("prepared-trace load",
                       baseline["trace_load"]["ratio"], trace_load["ratio"]))

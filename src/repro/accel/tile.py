@@ -54,15 +54,9 @@ class AcceleratorTile:
                 axc_id, forward_plan, lease)
 
         l0x.invocation_lease = lease
-
-        def access_run(op, count, now, horizon, interval):
-            return l0x.access_run(op, count, now, horizon, interval,
-                                  lease)
-
         try:
-            end = self.cores[axc_id].run(
-                trace, start_time, l0x.access, mlp,
-                access_run=access_run, phase_quote=l0x.phase_quote)
+            end = self.cores[axc_id].run(trace, start_time, l0x.access,
+                                         mlp)
             end += l0x.flush_dirty(end)
         finally:
             l0x.forward_hook = None

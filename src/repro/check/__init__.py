@@ -4,7 +4,7 @@ The checker drives the production controllers (``AccL0XController``,
 ``AccL1XController``, ``SharedL1XController``, ``HostMemorySystem``) on
 tiny configurations through every interleaving of small concurrent
 programs, checking protocol invariants between events and legal-outcome
-sets over whole executions.  See ``docs/protocol.md`` §8 for the mapping
+sets over whole executions.  See ``docs/protocol.md`` §7 for the mapping
 from the specification's prose invariants to the properties checked
 here.
 

@@ -20,7 +20,7 @@ mutation).  Three model facts keep them false-positive free:
   write epoch (the expired writer's data is simply awaiting its
   self-downgrade), so SWMR counts only *live* write leases.
 
-Violation names are the contract with ``docs/protocol.md`` §8 and the
+Violation names are the contract with ``docs/protocol.md`` §7 and the
 mutation self-test; change them in both places or not at all.
 """
 

@@ -220,52 +220,6 @@ LEASE_EXPIRY = LitmusTest(
          "final:b0=host.w1"]),
 )
 
-# Phase boundary: axc0 warms b0 (load), serves a steady-state window
-# over it (run of 4 — the phase fast path, its lease still live), waits
-# out the lease, then issues a second window that opens exactly one
-# event after the epoch died.  The host stores b0 concurrently.  The
-# phase guard must decline the post-expiry quote — a ``run`` event is
-# the engine's unit of work, so serving it would replay the whole dead
-# epoch in bulk — and the per-op fallback re-requests and observes the
-# serialisation-order value.  Legal outcomes are exactly the monotone
-# ones: once the host's store serialises before an axc0 event, every
-# later observation sees it; the forbidden outcomes (any window reading
-# ``init`` after an earlier event saw ``host.w1``, and in particular
-# the post-expiry window resurrecting ``init`` past the store) are how
-# a guard bug — see the ``phase-guard-skip`` mutation — would surface.
-# Note the first window observes exactly what the warming load did:
-# hit or quote, both are served from the same live epoch.
-PHASE_BOUNDARY = LitmusTest(
-    name="phase-boundary",
-    description="A steady-state window crossing its lease boundary is "
-                "declined by the phase guard and re-requests: expired "
-                "epochs are never served in bulk.",
-    scenario=Scenario(
-        name="litmus-phase-boundary", kind="acc",
-        agents=(_axc(("load", 0), ("run", "load", 0, 4),
-                     ("advance", EXPIRE), ("run", "load", 0, 4)),
-                _host(("store", 0),))),
-    final_blocks=(0,),
-    legal=_outcomes(
-        # Host store after every axc0 event (or between the last window
-        # and the finalize): nothing but init is ever visible to axc0.
-        ["axc0#1:b0=init", "axc0#2:b0=init", "axc0#3:b0=init",
-         "final:b0=host.w1"],
-        # Host store between the expiry and the second window: the
-        # declined quote's per-op fallback re-requests and sees it.
-        ["axc0#1:b0=init", "axc0#2:b0=init", "axc0#3:b0=host.w1",
-         "final:b0=host.w1"],
-        # Host store between the warming load and the first window: the
-        # GTIME stall it suffered pushed the clock past the lease, so
-        # the first window *also* declines and re-requests.
-        ["axc0#1:b0=init", "axc0#2:b0=host.w1", "axc0#3:b0=host.w1",
-         "final:b0=host.w1"],
-        # Host store before the warming load.
-        ["axc0#1:b0=host.w1", "axc0#2:b0=host.w1", "axc0#3:b0=host.w1",
-         "final:b0=host.w1"]),
-)
-
-LITMUS_TESTS = (MP, PING_PONG, PRODUCER_CONSUMER, LEASE_EXPIRY,
-                PHASE_BOUNDARY)
+LITMUS_TESTS = (MP, PING_PONG, PRODUCER_CONSUMER, LEASE_EXPIRY)
 
 LITMUS_BY_NAME = {test.name: test for test in LITMUS_TESTS}

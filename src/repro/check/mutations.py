@@ -54,31 +54,6 @@ def _skew_ltime(world):
     world.l1x.acquire = acquire
 
 
-def _skip_phase_guard(world):
-    for l0x in world.l0xs:
-        real = l0x.phase_quote
-
-        def phase_quote(phase, now, horizon, interval, _l0x=l0x,
-                        _real=real):
-            # Show the guard every resident line with its lease skewed
-            # LTIME_SKEW cycles into the future, then restore it: the
-            # cover check passes on expired epochs while the shadow
-            # model still knows the truth.
-            bumped = []
-            for info in phase.block_info:
-                line = _l0x.cache._lines.get(info[0])
-                if line is not None and line.lease is not None:
-                    line.lease += LTIME_SKEW
-                    bumped.append(line)
-            try:
-                return _real(phase, now, horizon, interval)
-            finally:
-                for line in bumped:
-                    line.lease -= LTIME_SKEW
-
-        l0x.phase_quote = phase_quote
-
-
 def _skip_invalidation(world):
     agent = world.l1x if world.kind in ("acc", "dx") else world.shared
     agent.handle_forwarded_request = \
@@ -163,14 +138,6 @@ _ALL = (
                     "outlive their leases.".format(LTIME_SKEW),
         expected=("stale-epoch-use",),
         _apply=_skew_ltime),
-    Mutation(
-        name="phase-guard-skip",
-        kinds=("acc", "dx"),
-        description="The steady-state phase guard sees every lease "
-                    "{} cycles longer than granted, so whole windows "
-                    "are served from expired epochs.".format(LTIME_SKEW),
-        expected=("stale-epoch-use",),
-        _apply=_skip_phase_guard),
     Mutation(
         name="skip-invalidation",
         kinds=("acc", "dx", "shared"),

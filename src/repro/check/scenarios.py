@@ -11,12 +11,6 @@ Event vocabulary (per agent, executed in program order):
 
 * ``("load", k)`` / ``("store", k)`` — one memory op on block ``k``
   (blocks live in one page; ``k`` indexes 64-byte lines).
-* ``("run", kind, k, n)`` — a same-line run of ``n`` ops of ``kind``
-  (``"load"`` or ``"store"``) on block ``k``, issued as one atomic
-  event through the steady-state phase fast path: the world quotes the
-  run via the L0X's ``phase_quote`` and expands it per-op when the
-  guard declines (the fallback ladder of ``docs/simulator.md`` §10).
-  AXC agents only, and only in the lease-based (``acc``/``dx``) kinds.
 * ``("flush",)`` — AXC invocation end: ``flush_dirty`` (ACC) or the
   shared L1X drain.  Not valid for the host.
 * ``("advance", dt)`` — let ``dt`` cycles pass without an access; this
@@ -57,12 +51,6 @@ class Agent:
             if kind in ("load", "store"):
                 if len(event) != 2 or not isinstance(event[1], int):
                     raise ValueError("bad event {!r}".format(event))
-            elif kind == "run":
-                if self.role == "host" or len(event) != 4 \
-                        or event[1] not in ("load", "store") \
-                        or not isinstance(event[2], int) \
-                        or not isinstance(event[3], int) or event[3] < 2:
-                    raise ValueError("bad event {!r}".format(event))
             elif kind == "advance":
                 if len(event) != 2 or event[1] <= 0:
                     raise ValueError("bad event {!r}".format(event))
@@ -90,10 +78,6 @@ class Scenario:
             raise ValueError("unknown scenario kind {!r}".format(self.kind))
         if self.kind != "dx" and self.forward_plan:
             raise ValueError("forward_plan is FUSION-Dx only")
-        if self.kind == "shared" and any(
-                event[0] == "run"
-                for agent in self.agents for event in agent.events):
-            raise ValueError("run events are lease-based (acc/dx) only")
         if not any(agent.role == "axc" for agent in self.agents):
             raise ValueError("a scenario needs at least one AXC agent")
 
@@ -108,8 +92,6 @@ class Scenario:
             for event in agent.events:
                 if event[0] in ("load", "store"):
                     highest = max(highest, event[1])
-                elif event[0] == "run":
-                    highest = max(highest, event[2])
         return highest + 1
 
     def agent_labels(self):
@@ -184,17 +166,6 @@ CATALOG = (
                 _host(("load", 2),)),
         description="Same-set stores churn the 1-way L0X: every eviction "
                     "self-downgrades dirty data before the host reads it."),
-    Scenario(
-        name="acc-phase-boundary",
-        kind="acc",
-        agents=(_axc(("load", 0), ("advance", EXPIRE),
-                     ("run", "load", 0, 4), ("flush",)),
-                _host(("store", 0),)),
-        description="A steady-state window opens exactly one event "
-                    "after the line's lease expired: the phase guard "
-                    "must decline the quote (serving it would replay "
-                    "the dead epoch) and the per-op fallback must "
-                    "re-request under host-store interference."),
     Scenario(
         name="shared-race",
         kind="shared",
@@ -272,15 +243,6 @@ def random_scenario(kind, seed, index):
             roll = rng.random()
             if roll < 0.4:
                 events.append(("store", rng.randrange(blocks)))
-            elif roll < 0.7:
-                events.append(("load", rng.randrange(blocks)))
-            elif roll < 0.8 and kind != "shared":
-                # A steady-state run: exercises the phase-quote fast
-                # path (and its per-op fallback when the guard says no).
-                events.append(("run",
-                               rng.choice(("load", "load", "store")),
-                               rng.randrange(blocks),
-                               rng.choice((2, 3, 4))))
             elif roll < 0.9:
                 events.append(("load", rng.randrange(blocks)))
             else:

@@ -42,7 +42,6 @@ from ..common.stats import StatsRegistry
 from ..common.types import AccessType, MemOp, block_address
 from ..interconnect.link import Link
 from ..mem.tlb import PageTable
-from ..workloads.phases import single_run_phase
 from .invariants import (INIT, Violation, check_quiescence, check_step,
                          violation_from_exception)
 from .scenarios import DEFAULT_LEASE
@@ -219,9 +218,6 @@ class CheckWorld:
         if kind == "flush":
             self.now += self._flush(self.axc_of[agent_index])
             return
-        if kind == "run":
-            self._axc_run(agent_index, event[1], event[2], event[3])
-            return
         if self.axc_of[agent_index] is None:
             self._host_access(agent_index, kind, event[1])
         else:
@@ -252,9 +248,6 @@ class CheckWorld:
                 (self.labels[agent_index], seq, block_index, observed))
 
     def _axc_access(self, agent_index, kind, block_index):
-        raise NotImplementedError
-
-    def _axc_run(self, agent_index, kind, block_index, count):
         raise NotImplementedError
 
     def _flush(self, ordinal):
@@ -521,18 +514,19 @@ class AccWorld(CheckWorld):
 
     # -- AXC event driver ----------------------------------------------------
 
-    def _protocol_op(self, agent_index, kind, block_index):
+    def _axc_access(self, agent_index, kind, block_index):
         """One real controller access, with the stale-epoch shadow
-        checks — the per-op primitive shared by single access events
-        and the run fallback expansion.  Returns ``(ctrl_hit,
-        forward_hit)`` so callers can classify what the value model
-        should have observed."""
+        checks and the value model's observation."""
         ordinal = self.axc_of[agent_index]
         l0x = self.l0xs[ordinal]
         op = MemOp(AccessType.STORE if kind == "store" else AccessType.LOAD,
                    block_vaddr(block_index))
         vblock = op.block
         now = self.now
+        self._op_seq[agent_index] += 1
+        seq = self._op_seq[agent_index]
+        self.issued[ordinal] += 1
+        token = self._next_token(agent_index) if kind == "store" else None
         # Pre-classify the access the same way the controller will, so
         # the shadow observation matches the protocol's actual path.
         line = l0x.cache.lookup(vblock, touch=False)
@@ -558,17 +552,6 @@ class AccWorld(CheckWorld):
                     "forward accepted at t={} without renewing its "
                     "expired epoch (ended {})".format(now, true_end),
                     block=vblock, epoch=true_end)
-        return ctrl_hit, forward_hit
-
-    def _axc_access(self, agent_index, kind, block_index):
-        ordinal = self.axc_of[agent_index]
-        vblock = block_vaddr(block_index)
-        self._op_seq[agent_index] += 1
-        seq = self._op_seq[agent_index]
-        self.issued[ordinal] += 1
-        token = self._next_token(agent_index) if kind == "store" else None
-        ctrl_hit, forward_hit = self._protocol_op(agent_index, kind,
-                                                  block_index)
         if kind == "store":
             # A store supersedes whatever the line held (its previous
             # value never left the L0X), including a just-accepted
@@ -583,80 +566,6 @@ class AccWorld(CheckWorld):
             else:
                 observed = self.l0x_value[(ordinal, vblock)] = \
                     self.l1x_value.get(vblock, INIT)
-            self.observations.append(
-                (self.labels[agent_index], seq, block_index, observed))
-
-    def _axc_run(self, agent_index, kind, block_index, count):
-        """One steady-state run event, issued the way ``AxcCore.run``
-        issues a compiled phase: quote the whole window via the L0X's
-        ``phase_quote`` and apply it in bulk, or — when the guard
-        declines — drop down the fallback ladder and expand per-op.
-
-        The shadow checks mirror ``_protocol_op``'s: a granted quote
-        serves every op of the window as a hit, so the line's *true*
-        epoch must cover the window's last access instant (the guard's
-        own bound, re-derived from the shadow leases).  A mutation that
-        skews the guard (``phase-guard-skip``) is caught right here as
-        ``stale-epoch-use``.
-
-        A run is one logical event: one observation (loads) or one
-        write token (stores) regardless of ``count`` — both paths
-        must agree on it, which is exactly the engine's bit-identity
-        contract at checker scale.
-        """
-        ordinal = self.axc_of[agent_index]
-        l0x = self.l0xs[ordinal]
-        op = MemOp(AccessType.STORE if kind == "store" else AccessType.LOAD,
-                   block_vaddr(block_index))
-        vblock = op.block
-        key = (ordinal, vblock)
-        now = self.now
-        self._op_seq[agent_index] += 1
-        seq = self._op_seq[agent_index]
-        self.issued[ordinal] += count
-        token = self._next_token(agent_index) if kind == "store" else None
-        quote = l0x.phase_quote(single_run_phase(op, count), now, now, 0)
-        if quote is not None:
-            load_lat, store_lat = quote
-            lat = store_lat if kind == "store" else load_lat
-            # The quote serves ops at now, now+lat, ..., now+(n-1)*lat;
-            # every one must land inside the line's true epoch.
-            last_clock = now + (count - 1) * lat
-            true_end = self.shadow_lease.get(key)
-            if true_end is None or true_end <= last_clock:
-                self.report(
-                    "stale-epoch-use",
-                    "phase quote served {} ops through t={} on an epoch "
-                    "that ended at {}".format(count, last_clock, true_end),
-                    block=vblock, epoch=true_end)
-            self.now += count * lat
-            if kind == "store":
-                self.l0x_value[key] = token
-                self.pending[key] = token
-            else:
-                self.observations.append(
-                    (self.labels[agent_index], seq, block_index,
-                     self.l0x_value.get(key, INIT)))
-            return
-        # Guard declined: the window drops to the per-op path (the
-        # checker skips the middle coalesced rung — same protocol
-        # transitions, so the observable contract is identical).
-        observed = INIT
-        for _ in range(count):
-            ctrl_hit, forward_hit = self._protocol_op(agent_index, kind,
-                                                      block_index)
-            if kind == "store":
-                # Set per op, not after the loop: a mid-run expiry
-                # self-downgrades the dirty line, and the writeback
-                # wrap must find the token outstanding.
-                self.l0x_value[key] = token
-                self.pending[key] = token
-            elif ctrl_hit or forward_hit:
-                observed = self.l0x_value.get(key, INIT)
-            else:
-                observed = self.l0x_value[key] = \
-                    self.l1x_value.get(vblock, INIT)
-        if kind != "store":
             self.observations.append(
                 (self.labels[agent_index], seq, block_index, observed))
 

@@ -179,7 +179,6 @@ def _cmd_config(_args):
 #: order; the first hit wins.
 _PROFILE_PHASES = (
     ("lowering", ("workloads/lowering",)),
-    ("phases", ("workloads/phases",)),
     ("policy", ("policy/",)),
     ("protocol", ("coherence/", "mem/", "interconnect/", "host/",
                   "energy/")),
@@ -203,8 +202,8 @@ def _profile_phase_of(filename):
 
 def _print_phase_breakdown(stats):
     """Aggregate a :class:`pstats.Stats` by pipeline phase (tottime)."""
-    totals = {"lowering": 0.0, "phases": 0.0, "policy": 0.0,
-              "protocol": 0.0, "engine": 0.0, "other": 0.0}
+    totals = {"lowering": 0.0, "policy": 0.0, "protocol": 0.0,
+              "engine": 0.0, "other": 0.0}
     calls = dict.fromkeys(totals, 0)
     for (filename, _line, _name), entry in stats.stats.items():
         _cc, nc, tt, _ct, _callers = entry
@@ -229,9 +228,8 @@ def _cmd_profile(args):
     starts so the report shows the simulation hot path, unless
     ``--include-build`` asks for the whole pipeline.  ``--phase``
     prepends an aggregate breakdown of where the time went: trace
-    lowering, the steady-state phase engine, the policy layer, the
-    coherence-protocol/memory layers, or the execution engine (core
-    model, systems, scheduler).
+    lowering, the policy layer, the coherence-protocol/memory layers,
+    or the execution engine (core model, systems, scheduler).
     """
     import cProfile
     import pstats
@@ -280,9 +278,6 @@ def _cmd_cache(args):
         entries, total_bytes / 1024.0))
     print("trace entries  : {} ({:.1f} kB prepared workloads)".format(
         trace_entries, trace_bytes / 1024.0))
-    phase_entries, phase_windows = cache.phase_stats()
-    print("phase entries  : {} compiled plan(s), {} phase window(s)".format(
-        phase_entries, phase_windows))
     stale_entries, stale_bytes = cache.stale_schema_stats()
     if stale_entries:
         print("stale schema   : {} old-schema entrie(s) ({:.1f} kB; "
@@ -779,8 +774,8 @@ def build_parser():
                         help="profile workload construction and "
                              "lowering too, not just the simulation")
     prof_p.add_argument("--phase", action="store_true",
-                        help="prepend an aggregate lowering / phases "
-                             "/ policy / protocol / engine breakdown")
+                        help="prepend an aggregate lowering / policy "
+                             "/ protocol / engine breakdown")
     prof_p.add_argument("--config", default=None,
                         help="JSON config-override file")
     prof_p.set_defaults(func=_cmd_profile)

@@ -30,7 +30,6 @@ lease epoch, not which L0X holds it.
 
 from ..common.config import WritePolicy
 from ..common.errors import ProtocolError
-from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType, block_address
 from ..common.units import LINE_SIZE
 from ..energy import cacti
@@ -82,10 +81,7 @@ class AccL1XController:
         self._add_energy = self.stats.counter("energy_pj")
         self._add_hits = self.stats.counter("hits")
         self._add_misses = self.stats.counter("misses")
-        # Bulk flusher for run-coalesced write-through updates: the
-        # exact per-event increments of ``write_through``, applied
-        # ``count`` at a time (energy replayed term-by-term, so the
-        # result is bit-identical to ``count`` sequential calls).
+        # One write-through update's increments, bundled.
         self._flush_write_through = self.stats.registry.flusher([
             (self.stats.qualified("accesses"), 1),
             (self.stats.qualified("energy_pj"), self._write_energy),
@@ -254,15 +250,6 @@ class AccL1XController:
 
     def write_through(self, vblock, now):
         """A write-through L0X store updates the L1X word directly."""
-        return self.write_through_run(vblock, 1)
-
-    def write_through_run(self, vblock, count):
-        """``count`` write-through store words update the L1X line.
-
-        Bit-identical to ``count`` :meth:`write_through` calls: the line
-        is marked dirty (idempotent) and the counters are flushed in
-        bulk.  Returns the constant per-store latency.
-        """
         line = self.cache.lookup(block_address(vblock), touch=False)
         if line is None:
             raise ProtocolError(
@@ -270,7 +257,7 @@ class AccL1XController:
                 agent=self.agent_name, block=block_address(vblock),
                 invariant="write-through-residency")
         line.dirty = True
-        self._flush_write_through(count)
+        self._flush_write_through()
         return self.config.hit_latency
 
     # -- host MESI integration (tile agent interface) -----------------------
@@ -343,9 +330,9 @@ class AccL0XController:
         self._fixed_lease = type(self.lease_policy) is FixedLeasePolicy
         self._hit_latency = self.config.hit_latency
         # Per-event bulk flushers (StatsRegistry.flusher): the full set
-        # of increments one hit makes, applied once per hit or ``count``
-        # at a time on the run-coalesced fast path — bit-identical to
-        # the unbundled handle calls by the flusher contract.
+        # of increments one hit makes, applied in one call —
+        # bit-identical to the unbundled handle calls by the flusher
+        # contract.
         registry = self.stats.registry
         qualify = self.stats.qualified
         energy_name = self.shared_stats.qualified("energy_pj")
@@ -359,7 +346,7 @@ class AccL0XController:
         self._flush_store_hit = registry.flusher(store_hit_pairs)
         # Write-through store hit additionally ships one WT_DATA word
         # over the tile link per store (the L1X-side counters are
-        # flushed by ``write_through_run``).
+        # flushed by ``write_through``).
         self._flush_store_hit_wt = registry.flusher(
             store_hit_pairs
             + msg_counter_pairs(axc_link, Msg.WT_DATA,
@@ -379,13 +366,6 @@ class AccL0XController:
             + [(axc_link.stats.qualified("write_flits"),
                 self.config.line_size // 8),
                (qualify("writebacks"), 1)])
-        #: Per-phase sequence flushers for the steady-state fast path,
-        #: keyed by the (immutable, trace-memoised) Phase object, the
-        #: lazily-built pair lists they bind, and the compiled ledger
-        #: programs memoised per (num_loads, num_stores).
-        self._phase_ledgers = {}
-        self._ledger_pairs = None
-        self._programs = {}
         #: Default lease for :meth:`access` calls that omit the ``lease``
         #: argument; bound by the tile before each invocation.
         self.invocation_lease = None
@@ -459,7 +439,7 @@ class AccL0XController:
                     return latency
                 self._flush_store_hit_wt()
                 return latency + TILE_LINK_LATENCY + \
-                    self.l1x.write_through_run(vblock, 1)
+                    self.l1x.write_through(vblock, now)
             # Upgrade: a read lease does not permit writes.
             self._add_accesses()
             self._add_energy(self._write_energy)
@@ -478,7 +458,7 @@ class AccL0XController:
             self.stats.add("forward_hits")
             if is_store:
                 # LRU tick the legacy post-install probe made.
-                self.cache.touch_run(line, 1)
+                self.cache.lookup(vblock)
                 latency += self._record_store(line, now + latency)
             return latency
         self._add_misses()
@@ -487,168 +467,9 @@ class AccL0XController:
         latency += miss_latency
         if is_store:
             # LRU tick the legacy post-install probe made.
-            self.cache.touch_run(line, 1)
+            self.cache.lookup(vblock)
             latency += self._record_store(line, now + latency)
         return latency
-
-    def access_run(self, op, count, now, horizon, interval, lease):
-        """Serve a whole same-line access run in one protocol step.
-
-        Returns the constant per-op latency when the steady-state guard
-        holds, or ``None`` to make the core expand the run op-by-op.
-        The guard admits exactly the runs whose per-op expansion would
-        be ``count`` identical hits:
-
-        * fixed lease policy (an adaptive policy observes every access);
-        * line resident with a lease covering every instant the run can
-          reach — ``horizon + count * (latency + interval)`` bounds all
-          per-op clocks, so each per-op ``lease > now`` check passes;
-        * stores: line already in write state (no upgrade inside the
-          run), and under write-through an L1X-resident copy.
-
-        Accounting is flushed in bulk through the prebuilt flushers and
-        the LRU clock advances by ``count`` — bit-identical to the
-        per-op path by construction (``tests/test_property_coalesce.py``
-        and the golden gate are the proof).
-        """
-        if not self._fixed_lease:
-            return None
-        vblock = op.block
-        line = self.cache.lookup(vblock, touch=False)
-        if line is None or line.lease is None:
-            return None
-        latency = self._hit_latency
-        is_store = op.is_store
-        write_through = False
-        if is_store:
-            if line.state != "W":
-                return None
-            if self._write_through:
-                if self.l1x.cache.lookup(vblock, touch=False) is None:
-                    return None
-                latency += TILE_LINK_LATENCY + self.l1x.config.hit_latency
-                write_through = True
-        if line.lease <= horizon + count * (latency + interval):
-            return None
-        self.cache.touch_run(line, count)
-        if not is_store:
-            self._flush_load_hit(count)
-        elif write_through:
-            self._flush_store_hit_wt(count)
-            self.l1x.write_through_run(vblock, count)
-        else:
-            line.dirty = True
-            self._flush_store_hit(count)
-        return latency
-
-    def phase_quote(self, phase, now, horizon, interval):
-        """Serve a whole steady-state phase in one protocol step.
-
-        The phase-engine analogue of :meth:`access_run`: the compiler
-        already proved the window's structure (no first touches, no
-        upgrades — see :mod:`repro.workloads.phases`), and this guard
-        proves the run-time conditions that make the per-op expansion
-        ``phase.mem_ops`` identical hits:
-
-        * fixed lease policy (an adaptive policy observes every access);
-        * every line resident, its lease covering every instant at
-          which the phase can still touch it — ``horizon + last_pos *
-          (latency + interval) + compute_cycles`` bounds all per-op
-          clocks up to the line's last access (same induction as the
-          run guard, with the phase's fused compute included), so
-          lines retired early in the window need proportionally less
-          lease cover;
-        * stored lines already in write state, and under write-through
-          an L1X-resident copy of each.
-
-        On success every op is accounted here — the per-phase sequence
-        flusher replays the program-ordered counter/energy deltas
-        bit-identically, the LRU clock advances exactly
-        (:meth:`~repro.mem.cache.SetAssocCache.touch_phase`), dirty
-        marks are applied — and the returned ``(load_lat, store_lat)``
-        lets the core replay or bulk-apply the issue timeline.
-        Returns ``None`` to decline (the window drops to the
-        coalesced-run path).
-        """
-        if not self._fixed_lease:
-            return None
-        load_lat = self._hit_latency
-        store_lat = load_lat
-        write_through = self._write_through
-        if write_through and phase.num_stores:
-            store_lat += TILE_LINK_LATENCY + self.l1x.config.hit_latency
-        max_lat = store_lat if phase.num_stores else load_lat
-        per_op = max_lat + interval
-        base = horizon + phase.compute_cycles
-        lines = self.cache._lines
-        l1x_lines = self.l1x.cache._lines if write_through else None
-        touched = []
-        dirty_lines = []
-        wt_lines = []
-        for block, loads, stores, first_is_store, last_pos, \
-                first_mem, first_comp in phase.block_info:
-            line = lines.get(block)
-            if line is None or line.lease is None \
-                    or line.lease <= base + last_pos * per_op:
-                return None
-            if stores:
-                if line.state != "W":
-                    return None
-                if write_through:
-                    wt_line = l1x_lines.get(block)
-                    if wt_line is None:
-                        return None
-                    wt_lines.append(wt_line)
-                else:
-                    dirty_lines.append(line)
-            touched.append((line, last_pos))
-        self.cache.touch_phase(touched, phase.mem_ops)
-        for line in dirty_lines:
-            line.dirty = True
-        for wt_line in wt_lines:
-            wt_line.dirty = True
-        self._phase_ledger(phase)()
-        return load_lat, store_lat
-
-    def _phase_ledger(self, phase):
-        """The phase's prebuilt counter ledger (cached per phase).
-
-        Built from the *same* pair lists the per-op flushers bind — a
-        write-through store event additionally carries the L1X-side
-        ``write_through`` increments that :meth:`AccL1XController.
-        write_through_run` would flush — so the bulk path charges
-        exactly what the per-op path charges, by construction.
-        """
-        ledger = self._phase_ledgers.get(phase)
-        if ledger is None:
-            pairs = self._phase_pairs()
-            # Given the controller's fixed pair lists, the compiled
-            # program depends only on the phase's op counts — memoise
-            # per (loads, stores) so ten thousand phases share a few
-            # hundred programs.
-            key = (phase.num_loads, phase.num_stores)
-            program = self._programs.get(key)
-            if program is None:
-                program = self._programs[key] = compile_phase_ledger(
-                    pairs[0], pairs[1], *key)
-            ledger = self.stats.registry.phase_flusher(phase.event_seq,
-                                                       program)
-            self._phase_ledgers[phase] = ledger
-        return ledger
-
-    def _phase_pairs(self):
-        """The controller's (load, store) hit pair lists, built lazily
-        (the L1X write-through flusher may not exist at construction)."""
-        pairs = self._ledger_pairs
-        if pairs is None:
-            load_pairs = self._flush_load_hit.pairs
-            if self._write_through:
-                store_pairs = self._flush_store_hit_wt.pairs \
-                    + self.l1x._flush_write_through.pairs
-            else:
-                store_pairs = self._flush_store_hit.pairs
-            pairs = self._ledger_pairs = (load_pairs, store_pairs)
-        return pairs
 
     def _accept_forward(self, vblock, now, lease):
         """Install a pending forwarded line; returns ``(latency, line)``.

@@ -115,8 +115,8 @@ def send(link, msg, stats=None, counter_prefix=None):
 def counter_pairs(link, msg, stats=None, counter_prefix=None):
     """The ``(qualified_name, amount)`` increments one :func:`send` makes.
 
-    Building blocks for prebuilt senders and run flushers — every pair
-    carries the same amount the per-call path would add, so bulk
+    Building blocks for prebuilt senders and event flushers — every
+    pair carries the same amount the per-call path would add, so bulk
     application is bit-identical.
     """
     pairs = link.counter_pairs(MSG_SIZE[msg], msg in DATA_MESSAGES)
@@ -127,8 +127,8 @@ def counter_pairs(link, msg, stats=None, counter_prefix=None):
 
 
 def sender(link, msg, stats=None, counter_prefix=None):
-    """Return a bound ``send_n(count=1)`` equivalent to ``count`` calls
-    of ``send(link, msg, stats, counter_prefix)``.
+    """Return a bound ``send_one()`` equivalent to one call of
+    ``send(link, msg, stats, counter_prefix)``.
 
     Hot protocol transitions (epoch requests, data responses, DMA
     traffic) send the *same* message on the *same* link every time; a

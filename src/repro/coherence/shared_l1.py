@@ -9,7 +9,6 @@ per-access latency and energy than a small private cache, which is
 exactly the tradeoff Lessons 1-3 quantify.
 """
 
-from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType
 from ..common.units import LINE_SIZE
 from ..energy import cacti
@@ -60,14 +59,6 @@ class SharedL1XController:
         self._set_shift = self.config.line_size.bit_length() - 1
         self._set_mask = self.config.num_sets - 1
         self._base_latency = SWITCH_LATENCY + self.config.hit_latency
-        #: Steady-state phase fast path: per-phase translated block
-        #: info + prebuilt sequence flusher, keyed by the Phase object;
-        #: compiled ledger programs memoised per (num_loads,
-        #: num_stores); and the page table's affine offset (probed
-        #: lazily — ``False`` when translation is not a pure shift).
-        self._phase_info = {}
-        self._programs = {}
-        self._phys_delta = None
         self.axc_link = None  # attached by the system (builds flushers)
 
     @property
@@ -80,9 +71,8 @@ class SharedL1XController:
 
         One hit performs a fixed set of increments (request message,
         cache access/energy/hit, word-sized response); bundling them
-        into one :meth:`StatsRegistry.flusher` serves a whole access —
-        or a whole coalesced run — in a single call, bit-identical to
-        the unbundled sequence.
+        into one :meth:`StatsRegistry.flusher` serves a whole access in
+        a single call, bit-identical to the unbundled sequence.
         """
         self._axc_link = link
         if link is None:
@@ -153,124 +143,6 @@ class SharedL1XController:
         else:
             send(self.axc_link, Msg.DATA_WORD, self.stats, "resp")
         return latency + SWITCH_LATENCY
-
-    def access_run(self, op, count, now, horizon, interval):
-        """Serve a whole same-line access run in one protocol step.
-
-        Guard: bank contention not modelled (the contention model
-        observes every access) and line resident.  Nothing else can
-        change mid-run — the run itself is the only activity in the
-        tile — so residency alone guarantees the per-op expansion would
-        be ``count`` identical hits.  Returns the constant per-op
-        latency, or ``None`` to decline.
-        """
-        if self.banks is not None:
-            return None
-        pblock = self.page_table.translate(op.addr) & _BLOCK_MASK
-        line = self.cache.lookup(pblock, touch=False)
-        if line is None:
-            return None
-        self.cache.touch_run(line, count)
-        if op.is_store:
-            line.dirty = True
-            line.state = "M"
-            self._flush_store_hit(count)
-        else:
-            self._flush_load_hit(count)
-        return self._base_latency + SWITCH_LATENCY
-
-    def phase_quote(self, phase, now, horizon, interval):
-        """Serve a whole steady-state phase in one protocol step.
-
-        Guard: bank contention not modelled and every (physical) line
-        of the phase resident — residency alone guarantees the per-op
-        expansion would be all hits, exactly as in :meth:`access_run`
-        (there are no leases to expire here, and the phase is the only
-        tile activity during its span).  On success the per-phase
-        sequence flusher charges the program-ordered counter deltas,
-        the LRU clock advances exactly, and stored lines are marked
-        dirty/modified.  Latency is the same constant for loads and
-        stores.  Returns ``None`` to decline.
-        """
-        if self.banks is not None:
-            return None
-        info = self._phase_info.get(phase)
-        if info is None:
-            info = self._compile_phase(phase)
-        pblocks, ledger = info
-        lines = self.cache._lines
-        touched = []
-        dirty = []
-        for pblock, stores, last_pos in pblocks:
-            line = lines.get(pblock)
-            if line is None:
-                return None
-            touched.append((line, last_pos))
-            if stores:
-                dirty.append(line)
-        self.cache.touch_phase(touched, phase.mem_ops)
-        for line in dirty:
-            line.dirty = True
-            line.state = "M"
-        ledger()
-        latency = self._base_latency + SWITCH_LATENCY
-        return latency, latency
-
-    def _compile_phase(self, phase):
-        """Translate a phase's lines and prebuild its ledger.
-
-        The page table is a fixed deterministic mapping of ``(pid,
-        vpn)`` — in this model an affine one: physical = virtual plus a
-        per-pid constant.  A two-point probe (cached per controller)
-        confirms that, after which the phase's translated projection is
-        just its ``block_info`` shifted by the line-aligned delta — no
-        per-op walk.  Should the probe ever fail, the exact walk is the
-        fallback.  The compiled ledger program depends only on the op
-        counts, so phases share a small per-controller memo; each
-        phase still binds its own sequence flusher.
-        """
-        delta = self._phys_delta
-        if delta is None:
-            translate = self.page_table.translate
-            delta = translate(0)
-            probe = (1 << 29) | 0x5ec
-            if translate(probe) != probe + delta or \
-                    delta & (LINE_SIZE - 1):
-                delta = False
-            self._phys_delta = delta
-        if delta is not False:
-            pblocks = tuple((info[0] + delta, info[2], info[4])
-                            for info in phase.block_info)
-        else:
-            translate = self.page_table.translate
-            info = {}
-            order = []
-            position = 0
-            for op, arg, count in phase.steps:
-                if op is None:
-                    continue
-                pblock = translate(op.addr) & _BLOCK_MASK
-                record = info.get(pblock)
-                if record is None:
-                    info[pblock] = record = [0, 0]
-                    order.append(pblock)
-                if op.is_store:
-                    record[0] = 1
-                position += count
-                record[1] = position
-            pblocks = tuple((pblock, info[pblock][0], info[pblock][1])
-                            for pblock in order)
-        key = (phase.num_loads, phase.num_stores)
-        program = self._programs.get(key)
-        if program is None:
-            program = self._programs[key] = compile_phase_ledger(
-                self._flush_load_hit.pairs, self._flush_store_hit.pairs,
-                *key)
-        ledger = self.stats.registry.phase_flusher(phase.event_seq,
-                                                   program)
-        compiled = (pblocks, ledger)
-        self._phase_info[phase] = compiled
-        return compiled
 
     def _fill(self, pblock, now):
         """Fill ``pblock`` from the host; returns ``(latency, line)``."""

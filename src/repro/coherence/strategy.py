@@ -236,10 +236,7 @@ class BoundScratchpadDma:
             now += self.dma.transfer_in(window.in_blocks, scratchpad,
                                         now)
             now = core.run(window.trace, now, model.access, mlp,
-                           charge_invocation=(window_index == 0),
-                           access_run=model.access_run,
-                           phase_quote=model.phase_quote,
-                           leased_phases=False)
+                           charge_invocation=(window_index == 0))
             dirty = scratchpad.drain()
             now += self.dma.transfer_out(dirty, now)
         return now
@@ -263,10 +260,7 @@ class BoundSharedL1X:
     def run(self, strategy, index, trace, now, axc, mlp):
         return self.cores[axc].run(
             trace, now, self.l1x.access, mlp,
-            issue_interval=ISSUE_INTERVAL,
-            access_run=self.l1x.access_run,
-            phase_quote=self.l1x.phase_quote,
-            leased_phases=False)
+            issue_interval=ISSUE_INTERVAL)
 
 
 class BoundFusionTile:

@@ -17,108 +17,12 @@ cleared in place, never replaced).
 
 :meth:`StatsRegistry.flusher` extends the contract to whole *events*:
 a flusher binds the full list of ``(name, amount)`` increments one
-logical event performs and applies all of them — ``count`` repetitions
-at a time — in a single call.  Flushed results are bit-identical to
-``count`` sequential per-event calls: amounts that are exact in binary
-floating point (integers, and the half-cycle latencies the simulator
-uses) are collapsed to one ``+= amount * count`` add, while energy
-accumulations (``*_pj`` counters, whose per-event amounts are not
-dyadic) are replayed term by term so the rounding sequence matches the
-per-event path exactly.
+logical event performs (a cache hit: access count, energy, hit count,
+link message counters) and applies all of them in a single call,
+bit-identically to the unbundled :meth:`add` sequence.
 """
 
 from collections import defaultdict
-
-
-def compile_event_sequence(events):
-    """Compile a program-ordered event sequence into a flush *program*.
-
-    ``events`` is a list of ``(pairs, repeat)``; the result is a
-    registry-independent ``(collapsed_items, replay_items)`` pair that
-    :meth:`StatsRegistry.sequence_flusher` binds to live counters.
-    Splitting compilation from binding lets callers cache the program on
-    long-lived objects (the phase engine caches one per compiled phase)
-    while every simulation run binds it to its own registry for free.
-
-    Identical ``pairs`` objects recurring across events — the common
-    case: a phase's event runs alternate between one load pair-list and
-    one store pair-list — are decomposed once and reused.
-    """
-    collapsed = {}
-    replay_blocks = {}          # name -> [(amounts tuple, repeat), ...]
-    replay_order = []
-    decomposed = {}             # id(pairs) -> (exact items, pj items)
-    for pairs, repeat in events:
-        decomp = decomposed.get(id(pairs))
-        if decomp is None:
-            exact = {}
-            per_event = {}
-            for name, amount in pairs:
-                if name.endswith("_pj"):
-                    amounts = per_event.get(name)
-                    if amounts is None:
-                        per_event[name] = [amount]
-                    else:
-                        amounts.append(amount)
-                else:
-                    exact[name] = exact.get(name, 0) + amount
-            decomp = (list(exact.items()),
-                      [(name, tuple(amounts))
-                       for name, amounts in per_event.items()])
-            decomposed[id(pairs)] = decomp
-        exact_items, pj_items = decomp
-        for name, amount in exact_items:
-            collapsed[name] = collapsed.get(name, 0) + amount * repeat
-        for name, amounts in pj_items:
-            blocks = replay_blocks.get(name)
-            if blocks is None:
-                replay_blocks[name] = blocks = []
-                replay_order.append(name)
-            blocks.append((amounts, repeat))
-    return (tuple(collapsed.items()),
-            tuple((name, tuple(replay_blocks[name]))
-                  for name in replay_order))
-
-
-def compile_phase_ledger(load_pairs, store_pairs, num_loads, num_stores):
-    """Compile a two-event-kind phase ledger into a flush program.
-
-    The phase engine's specialisation of :func:`compile_event_sequence`:
-    a phase's counter delta is fully determined by its load pair-list
-    (repeated ``num_loads`` times), its store pair-list (``num_stores``
-    times) and the program-ordered ``(is_store, count)`` event runs.
-    Exact (non-``_pj``) amounts collapse to ``amount * occurrences``;
-    energy names keep their per-event amounts per kind, and the flush
-    walks the event sequence so same-counter float rounding follows
-    program order exactly.  Compilation is O(pairs) — no walk over the
-    event sequence at all.
-
-    Returns ``(collapsed_items, pj_items)`` with ``pj_items`` entries of
-    ``(name, load_amounts, store_amounts)``; registry-independent, so
-    callers cache it on long-lived objects.
-    """
-    collapsed = {}
-    pj = {}
-    order = []
-    sides = []
-    if num_loads:
-        sides.append((load_pairs, 0, num_loads))
-    if num_stores:
-        sides.append((store_pairs, 1, num_stores))
-    for pairs, side, occurrences in sides:
-        for name, amount in pairs:
-            if name.endswith("_pj"):
-                record = pj.get(name)
-                if record is None:
-                    pj[name] = record = [[], []]
-                    order.append(name)
-                record[side].append(amount)
-            else:
-                collapsed[name] = collapsed.get(name,
-                                                0) + amount * occurrences
-    return (tuple(collapsed.items()),
-            tuple((name, tuple(pj[name][0]), tuple(pj[name][1]))
-                  for name in order))
 
 
 class StatsRegistry:
@@ -150,138 +54,27 @@ class StatsRegistry:
     def flusher(self, pairs):
         """Return a bulk handle applying ``pairs`` of ``(name, amount)``.
 
-        The handle is ``flush(count=1)``; calling it is bit-identical to
-        repeating, ``count`` times, one :meth:`add` per pair in order.
-        Repeated names are honoured: non-energy amounts to the same
-        counter are pre-summed (exact — the simulator only feeds dyadic
-        amounts to non-``_pj`` counters), while amounts to ``*_pj``
-        energy counters are replayed in the original per-event order so
-        float rounding matches the sequential path exactly.
+        Calling the handle is bit-identical to one :meth:`add` per pair
+        in order.  Repeated names are honoured: non-energy amounts to
+        the same counter are pre-summed (exact — the simulator only
+        feeds dyadic amounts to non-``_pj`` counters), while amounts to
+        ``*_pj`` energy counters are applied one by one in their
+        original order so float rounding matches the sequential path.
         """
         counters = self._counters
         collapsed = {}
-        replayed = []           # (name, [amounts in per-event order])
-        replay_index = {}
+        energy = []             # (name, amount) in per-event order
         for name, amount in pairs:
             if name.endswith("_pj"):
-                index = replay_index.get(name)
-                if index is None:
-                    replay_index[name] = len(replayed)
-                    replayed.append((name, [amount]))
-                else:
-                    replayed[index][1].append(amount)
+                energy.append((name, amount))
             else:
                 collapsed[name] = collapsed.get(name, 0) + amount
-        collapsed_items = list(collapsed.items())
-        # Pre-flattened single-event list: the count == 1 case is by far
-        # the most frequent (every per-op hit), so it pays one loop over
-        # a prebuilt list instead of the two-level iteration.
-        single_items = collapsed_items + [
-            (name, amount) for name, amounts in replayed
-            for amount in amounts]
-
-        def flush(count=1):
-            if count == 1:
-                for name, amount in single_items:
-                    counters[name] += amount
-                return
-            for name, amount in collapsed_items:
-                counters[name] += amount * count
-            for name, amounts in replayed:
-                value = counters[name]
-                if len(amounts) == 1:
-                    amount = amounts[0]
-                    for _ in range(count):
-                        value += amount
-                else:
-                    for _ in range(count):
-                        for amount in amounts:
-                            value += amount
-                counters[name] = value
-
-        flush.pairs = list(pairs)
-        return flush
-
-    def sequence_flusher(self, events, program=None):
-        """Return a bulk handle replaying a program-ordered event *sequence*.
-
-        ``events`` is a list of ``(pairs, repeat)``: the ``(name,
-        amount)`` increments of one event type, repeated ``repeat``
-        times before the next event type follows.  Calling the returned
-        ``flush()`` is bit-identical to walking the sequence and calling
-        :meth:`flusher`\\ (pairs)() once per repetition, in order: exact
-        (non-``_pj``) amounts are pre-summed across the whole sequence,
-        while every ``*_pj`` energy counter replays its amounts in the
-        original per-event order — same-counter float rounding is the
-        only ordering that matters, and it is preserved term by term.
-
-        ``program`` (optional) is a precompiled
-        :func:`compile_event_sequence` result for ``events`` — callers
-        that cache programs on long-lived objects pass it to make the
-        handle construction O(1).
-
-        This is the steady-state phase engine's ledger primitive: one
-        compiled phase charges its whole counter delta through a single
-        prebuilt handle (``docs/simulator.md`` §10).
-        """
-        counters = self._counters
-        if program is None:
-            program = compile_event_sequence(events)
-        collapsed_items, replay_items = program
+        items = list(collapsed.items()) + energy
 
         def flush():
-            for name, amount in collapsed_items:
+            for name, amount in items:
                 counters[name] += amount
-            for name, blocks in replay_items:
-                value = counters[name]
-                for amounts, repeat in blocks:
-                    if len(amounts) == 1:
-                        amount = amounts[0]
-                        for _ in range(repeat):
-                            value += amount
-                    else:
-                        for _ in range(repeat):
-                            for amount in amounts:
-                                value += amount
-                counters[name] = value
 
-        flush.events = events
-        flush.program = program
-        return flush
-
-    def phase_flusher(self, event_seq, program):
-        """Bind a :func:`compile_phase_ledger` program to this registry.
-
-        ``event_seq`` is the phase's program-ordered ``(is_store,
-        count)`` runs; calling the returned ``flush()`` is bit-identical
-        to replaying the per-op flushers over the sequence (exact
-        amounts pre-summed, ``*_pj`` rounding replayed in program
-        order).  Binding is O(1) — the phase engine compiles the
-        program once per phase and rebinds it in every simulation run.
-        """
-        counters = self._counters
-        collapsed_items, pj_items = program
-
-        def flush():
-            for name, amount in collapsed_items:
-                counters[name] += amount
-            for name, load_amounts, store_amounts in pj_items:
-                value = counters[name]
-                for is_store, count in event_seq:
-                    amounts = store_amounts if is_store else load_amounts
-                    if not amounts:
-                        continue
-                    if len(amounts) == 1:
-                        amount = amounts[0]
-                        for _ in range(count):
-                            value += amount
-                    else:
-                        for _ in range(count):
-                            for amount in amounts:
-                                value += amount
-                counters[name] = value
-
-        flush.program = program
         return flush
 
     @property

@@ -13,7 +13,6 @@ on request-message energy (it is push-based; Lesson 4).
 
 from dataclasses import dataclass, field
 
-from ..common.stats import compile_phase_ledger
 from ..common.types import AccessType, FunctionTrace, MemOp
 from ..common.units import LINE_SIZE
 from ..energy import cacti
@@ -169,8 +168,8 @@ class ScratchpadAccessModel:
             config.tile.scratchpad, is_store=True)
         self._add_accesses = self.stats.counter("accesses")
         self._add_energy = self.stats.counter("energy_pj")
-        # Bulk per-event flushers (one call per access or per coalesced
-        # run; bit-identical to the unbundled handles by construction).
+        # Bulk per-event flushers (one call per access; bit-identical
+        # to the unbundled handles by construction).
         registry = self.stats.registry
         qualify = self.stats.qualified
         self._flush_load = registry.flusher([
@@ -179,10 +178,6 @@ class ScratchpadAccessModel:
         self._flush_store = registry.flusher([
             (qualify("accesses"), 1),
             (qualify("energy_pj"), self._write_energy)])
-        #: Per-phase sequence flushers (steady-state fast path), plus
-        #: compiled ledger programs memoised per (num_loads, num_stores).
-        self._phase_ledgers = {}
-        self._programs = {}
 
     def access(self, op, now):
         is_store = op.is_store
@@ -195,70 +190,3 @@ class ScratchpadAccessModel:
         else:
             self._flush_load()
         return self.latency
-
-    def access_run(self, op, count, now, horizon, interval):
-        """Serve a whole same-block access run in one step.
-
-        A scratchpad access has no guard to fail: the block is either
-        staged (constant latency for every op of the run) or the oracle
-        DMA mis-sized the window, which raises exactly as the per-op
-        path's first access would.  State converges after the first op
-        (a store marks the block dirty once), so one ``serve`` plus a
-        bulk counter flush is bit-identical to ``count`` accesses.
-        """
-        is_store = op.is_store
-        self.scratchpad.serve(op.block, is_store)
-        if is_store:
-            self._flush_store(count)
-        else:
-            self._flush_load(count)
-        return self.latency
-
-    def phase_quote(self, phase, now, horizon, interval):
-        """Serve a whole steady-state phase in one step.
-
-        The scratchpad guard mirrors ``serve``: every block must either
-        be resident or be written first (write-first blocks allocate in
-        place, capacity permitting).  A load-first absent block or an
-        allocation overflow declines, so the per-op fallback raises the
-        exact oracle-DMA error the per-op path would.  On success the
-        phase's whole counter delta is one sequence-flusher call and
-        the dirty marks converge to the per-op result (a block is dirty
-        iff the phase stores to it or it already was).
-        """
-        scratchpad = self.scratchpad
-        blocks = scratchpad._blocks
-        allocations = []
-        stored = []
-        for block, loads, stores, first_is_store, last_pos, \
-                first_mem, first_comp in phase.block_info:
-            if block in blocks:
-                if stores:
-                    stored.append(block)
-            elif first_is_store:
-                allocations.append(block)
-            else:
-                return None
-        if allocations and len(blocks) + len(allocations) > \
-                scratchpad.config.num_blocks:
-            return None
-        for block in allocations:
-            blocks[block] = True
-        for block in stored:
-            blocks[block] = True
-        self._phase_ledger(phase)()
-        return self.latency, self.latency
-
-    def _phase_ledger(self, phase):
-        ledger = self._phase_ledgers.get(phase)
-        if ledger is None:
-            key = (phase.num_loads, phase.num_stores)
-            program = self._programs.get(key)
-            if program is None:
-                program = self._programs[key] = compile_phase_ledger(
-                    self._flush_load.pairs, self._flush_store.pairs,
-                    *key)
-            ledger = self.stats.registry.phase_flusher(phase.event_seq,
-                                                       program)
-            self._phase_ledgers[phase] = ledger
-        return ledger

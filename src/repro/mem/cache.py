@@ -113,34 +113,6 @@ class SetAssocCache:
             line.last_use = clock
         return line
 
-    def touch_run(self, line, count):
-        """Apply ``count`` LRU touches to ``line`` in one step.
-
-        Equivalent to ``count`` consecutive ``lookup(line.block)`` calls:
-        the use clock advances by ``count`` and the line records the last
-        tick, so replacement order (and therefore every downstream stat)
-        is identical to the per-access path.  Used by the run-coalescing
-        fast paths.
-        """
-        self._use_clock = clock = self._use_clock + count
-        line.last_use = clock
-
-    def touch_phase(self, line_positions, total):
-        """Apply a whole phase's LRU touches in one step.
-
-        ``line_positions`` is an iterable of ``(line, last_pos)`` pairs
-        where ``last_pos`` is the 1-based ordinal of the line's *last*
-        access among the phase's ``total`` accesses.  Equivalent to
-        ticking the use clock once per access in program order: each
-        line ends on the clock value of its final touch and the clock
-        advances by ``total`` — replacement order is bit-identical to
-        the per-op path.  Used by the steady-state phase fast path.
-        """
-        base = self._use_clock
-        for line, last_pos in line_positions:
-            line.last_use = base + last_pos
-        self._use_clock = base + total
-
     def contains(self, addr):
         """Return whether ``addr``'s line is resident (no LRU update)."""
         return self.lookup(addr, touch=False) is not None

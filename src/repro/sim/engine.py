@@ -81,12 +81,14 @@ from .results import FailedResult
 #: Bump when the cache entry layout (not the simulated models — those
 #: are covered by :func:`code_fingerprint`) changes incompatibly.
 #: Version 3: prepared-trace pickles no longer carry the numpy payloads
-#: version 2 added, whose classes no longer exist.  Entries live under
+#: version 2 added, whose classes no longer exist.  Version 4: they no
+#: longer carry compiled steady-state phase plans, whose module no
+#: longer exists.  Entries live under
 #: ``<root>/v<schema>/``, so old-schema entries are never *read* after
 #: a bump — they sit in their own directory, counted by
 #: :meth:`DiskCache.stale_schema_stats` and reaped by
 #: :meth:`DiskCache.clear`.
-CACHE_SCHEMA_VERSION = 3
+CACHE_SCHEMA_VERSION = 4
 
 _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("", "0", "false", "no", "off")
@@ -305,18 +307,6 @@ def prepared_workload(benchmark, size, cache=None, epoch=0):
 
 
 @contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic collector, restoring the caller's state after."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-@contextlib.contextmanager
 def _long_lived_heap():
     """Create objects that live for the rest of the process.
 
@@ -327,9 +317,14 @@ def _long_lived_heap():
     Frozen objects are still freed by reference counting.
     """
     gc.collect()
-    with _collector_paused():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         yield
         gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _execute(request, cache=None, epoch=None):
@@ -684,47 +679,6 @@ class DiskCache:
     def trace_stats(self):
         """Return ``(entries, total_bytes)`` for prepared-trace pickles."""
         return self._tally(self._trace_dir())
-
-    def phase_stats(self):
-        """Return ``(plan_entries, phases)`` across prepared workloads.
-
-        Tallies the compiled steady-state phase plans riding in the
-        prepared-trace pickles (in-memory entries included, each
-        workload once): ``plan_entries`` counts the memoised plan
-        variants across invocation traces and ``phases`` the distinct
-        compiled phase windows inside them — the artifacts
-        ``invalidate_lowered`` evicts alongside the lowered streams.
-        On-disk pickles are read one at a time with the collector
-        paused and dropped once counted; none enters the index.
-        """
-        from ..workloads.phases import plan_summary
-
-        plan_entries, phases = 0, 0
-
-        def tally(workload):
-            nonlocal plan_entries, phases
-            for trace in workload.invocations:
-                entries, windows = plan_summary(trace)
-                plan_entries += entries
-                phases += windows
-
-        seen = set()
-        for index_key, workload in self._index.items():
-            if index_key[1] == "trace" and index_key[2] not in seen:
-                seen.add(index_key[2])
-                tally(workload)
-        trace_dir = self._trace_dir()
-        if trace_dir.is_dir():
-            for path in sorted(trace_dir.rglob("*.pkl")):
-                if path.stem in seen:
-                    continue
-                with _collector_paused():
-                    workload = self._read_pickle(path)
-                if workload is not None:
-                    tally(workload)
-                # Free this trace before the next one is read.
-                del workload
-        return plan_entries, phases
 
     def temp_stats(self):
         """Return ``(count, total_bytes)`` for orphaned ``.tmp-*`` files.

@@ -17,9 +17,9 @@ Execution is a claim loop over the durable
 rows with compare-and-swap leases, rebuilds their
 :class:`RunRequest`\\ s from the stored point JSON, and routes them
 through the ordinary :class:`ExecutionEngine` batch path — so the
-content-hash result cache, crash recovery, timeouts and the fallback
-ladder are all reused unchanged, and a row another process already
-computed is a cache hit, not a re-simulation.  Leases are renewed while
+content-hash result cache, crash recovery and timeouts are all reused
+unchanged, and a row another process already computed is a cache hit,
+not a re-simulation.  Leases are renewed while
 a batch runs; a daemon killed ``-9`` mid-grid leaves only ``claimed``
 rows behind, which the next daemon re-queues (dead-owner sweep on
 startup, lease expiry otherwise) and finishes — resume is a property of

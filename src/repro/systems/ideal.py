@@ -26,17 +26,6 @@ class IdealSystem(BaseSystem):
     def _free_access(op, now):
         return 1
 
-    @staticmethod
-    def _free_access_run(op, count, now, horizon, interval):
-        return 1
-
-    @staticmethod
-    def _free_phase_quote(phase, now, horizon, interval):
-        return 1, 1
-
     def _run_invocation(self, index, trace, now):
         core = self.cores[self._axc_of(trace)]
-        return core.run(trace, now, self._free_access, self._mlp(trace),
-                        access_run=self._free_access_run,
-                        phase_quote=self._free_phase_quote,
-                        leased_phases=False)
+        return core.run(trace, now, self._free_access, self._mlp(trace))

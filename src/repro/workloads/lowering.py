@@ -23,15 +23,14 @@ Lowered form: ``LoweredTrace.steps`` is a list of 3-tuples,
   compute chunk (whose latency would interleave with the run's
   timeline); cost-free phase markers do not break runs, exactly as they
   never advanced the legacy timeline.  Only plain ``MemOp`` instances
-  coalesce — subclassed op types always form single-op runs and take
-  the per-op path.
+  share a run — subclassed op types always form single-op runs, so a
+  subclassed op always reaches ``access_fn`` as itself.
 * ``(None, latency, 1)`` — a *fused chunk* of adjacent compute ops
   whose dataflow latencies are pre-summed for the core's issue width.
 
-Runs are what the run-coalescing fast path consumes: the core hands a
-whole run to a controller's ``access_run`` entry point and serves it in
-one protocol step when the steady-state guard holds (see
-``docs/simulator.md`` §9).  Fusion sums the per-op latencies
+The core expands each run op by op, so the encoding changes nothing but
+the size of the stream: it keeps prepared-trace pickles small (one
+tuple per run, not per op).  Fusion sums the per-op latencies
 (``max(1, ceil(total / issue_width))`` each) rather than re-deriving a
 latency from the summed activity, so the lowered timeline is
 bit-identical to the legacy interpreter's — the golden-stability gate
@@ -50,11 +49,11 @@ import math
 from ..common.types import ComputeOp, MemOp
 
 #: Bump when the lowered format changes incompatibly; part of the
-#: engine's prepared-workload cache key.  Version 3 adds compiled
-#: steady-state phase plans riding along with the lowered stream;
-#: version 4 added structure-of-arrays vector plans and version 5
-#: drops them again.
-LOWERING_VERSION = 5
+#: engine's prepared-workload cache key.  Version 3 added compiled
+#: steady-state phase plans riding along with the lowered stream,
+#: version 4 structure-of-arrays vector plans; version 5 dropped the
+#: vector plans and version 6 the phase plans.
+LOWERING_VERSION = 6
 
 #: Attribute used to memoise lowered forms on a trace object.
 _CACHE_ATTR = "_lowered_by_width"
@@ -77,7 +76,7 @@ class LoweredTrace:
         self.compute_chunks = compute_chunks
         #: Number of mem steps (access runs, singletons included).
         self.mem_runs = mem_runs
-        #: Memory ops inside runs of length >= 2 (the coalescable ops).
+        #: Memory ops inside runs of length >= 2.
         self.coalesced_ops = coalesced_ops
 
     def __repr__(self):
@@ -208,13 +207,11 @@ def lowered_trace(trace, issue_width):
 def invalidate_lowered(trace):
     """Drop a trace's memoised derived forms (after mutating its ops).
 
-    Clears the lowered streams, the compiled steady-state phase plans
-    (which are derived from the lowered streams) and the block-set
-    caches (:meth:`~repro.common.types.FunctionTrace.touched_blocks` /
+    Clears the lowered streams and the block-set caches
+    (:meth:`~repro.common.types.FunctionTrace.touched_blocks` /
     ``dirty_blocks``) — everything derived from ``trace.ops``.
     """
     trace.__dict__.pop(_CACHE_ATTR, None)
-    trace.__dict__.pop("_phase_plans", None)
     trace.__dict__.pop("_touched_blocks", None)
     trace.__dict__.pop("_dirty_blocks", None)
 
@@ -224,15 +221,9 @@ def lower_workload(workload, issue_width=4):
 
     Used by the execution engine before pickling a prepared workload
     into its disk cache, so pool workers load ready-to-run streams
-    instead of re-executing kernels and re-lowering.  Compiled phase
-    plans (the steady-state fast path's unit of work) are built here
-    too, so they ride along in the same pickle.  Returns the workload
-    for chaining.
+    instead of re-executing kernels and re-lowering.  Returns the
+    workload for chaining.
     """
-    from .phases import phase_plan
-
     for trace in workload.invocations:
         lowered_trace(trace, issue_width)
-        phase_plan(trace, issue_width, leased=True)
-        phase_plan(trace, issue_width, leased=False)
     return workload

@@ -20,7 +20,7 @@ def test_litmus_outcomes_match_legal_set(test):
 def test_suite_covers_the_paper_shapes():
     assert set(LITMUS_BY_NAME) == {
         "message-passing", "ping-pong", "producer-consumer",
-        "lease-expiry-race", "phase-boundary"}
+        "lease-expiry-race"}
 
 
 def test_outcome_formatting():
